@@ -285,7 +285,7 @@ func BenchmarkEndToEnd_AllDesigns(b *testing.B) {
 // paper designs' constraint-graph hierarchies R times over (the what-if
 // re-run workload): one-at-a-time relsched.Compute, the engine's worker
 // pool with memoization disabled, and the pooled engine with memoized
-// anchor analysis. See TestEngineBenchArtifact for the BENCH_engine.json
+// anchor analysis. See BenchmarkEngineArtifact for the BENCH_engine.json
 // artifact derived from the same workload.
 func BenchmarkEngineBatch(b *testing.B) {
 	jobs := paperDesignJobs(b)

@@ -60,13 +60,19 @@ func TestBatchDirectory(t *testing.T) {
 	if err := json.Unmarshal(data, &stats); err != nil {
 		t.Fatal(err)
 	}
-	// 2 files × 3 repeats; the two files have identical content, so only
-	// the very first job misses the cache.
+	// 2 files × 3 repeats of identical content: exactly one job computes.
+	// With two workers the others are cache hits or, when they race the
+	// leader, suppressed duplicates — how many of each depends on the
+	// interleaving, so assert the accounting law instead of the split.
 	if stats.Jobs != 6 || stats.OK != 6 || stats.Failed != 0 {
 		t.Fatalf("stats = %+v, want 6 ok jobs", stats)
 	}
-	if stats.CacheHits != 5 || stats.CacheMisses != 1 {
-		t.Errorf("cache hits/misses = %d/%d, want 5/1", stats.CacheHits, stats.CacheMisses)
+	if stats.Computes != 1 {
+		t.Errorf("computes = %d, want 1", stats.Computes)
+	}
+	if got := stats.CacheHits + stats.DuplicateSuppressed + stats.Computes; got != uint64(stats.Jobs) {
+		t.Errorf("hits %d + suppressed %d + computes %d = %d, want %d jobs",
+			stats.CacheHits, stats.DuplicateSuppressed, stats.Computes, got, stats.Jobs)
 	}
 	if stats.Workers != 2 {
 		t.Errorf("workers = %d, want 2", stats.Workers)

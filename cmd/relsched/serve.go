@@ -33,7 +33,8 @@ documented in docs/SERVICE.md.
 
 flags:
   -addr addr       listen address (default localhost:8080)
-  -workers n       serving workers (default GOMAXPROCS); hot-reloadable
+  -workers n       serving workers (default half the CPUs, rounded
+                   up); hot-reloadable
   -cache n         memoization cache capacity in entries (0 = engine
                    default); hot-reloadable
   -nocache         disable memoization
@@ -91,7 +92,7 @@ func runServe(args []string, stdout io.Writer, sig <-chan os.Signal) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.Usage = func() { fmt.Fprint(os.Stderr, serveUsage) }
 	addr := fs.String("addr", "localhost:8080", "listen address")
-	workers := fs.Int("workers", 0, "serving workers (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "serving workers (0 = half the CPUs, rounded up)")
 	cacheCap := fs.Int("cache", 0, "memoization cache capacity (0 = engine default)")
 	nocache := fs.Bool("nocache", false, "disable memoization")
 	queueDepth := fs.Int("queue", serve.DefaultQueueDepth, "admission queue depth")

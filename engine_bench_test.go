@@ -100,8 +100,8 @@ type engineBenchArtifact struct {
 
 	// Corpus-scale sustained ingest (see measureCorpus): CorpusJobs jobs
 	// cycling over CorpusGraphs distinct randgraph graphs streamed through
-	// a fresh memoizing engine — the serve-daemon traffic shape the
-	// sharded cache exists for. Quantiles are per-job engine latencies;
+	// a fresh memoizing engine — the serve-daemon traffic shape. Quantiles
+	// are per-job engine latencies;
 	// CorpusJobsPerSec is wall-clock throughput over the whole stream.
 	CorpusGraphs     int     `json:"corpus_graphs"`
 	CorpusJobs       int     `json:"corpus_jobs"`
@@ -110,42 +110,107 @@ type engineBenchArtifact struct {
 	CorpusP50NS      int64   `json:"corpus_p50_ns"`
 	CorpusP95NS      int64   `json:"corpus_p95_ns"`
 	CorpusP99NS      int64   `json:"corpus_p99_ns"`
-
-	// CacheShards and CacheShardContention snapshot the corpus engine's
-	// sharded-cache geometry and how often a locker found a shard mutex
-	// held (failed TryLock; see engine.MetricCacheShardContention).
-	CacheShards          int    `json:"cache_shards"`
-	CacheShardContention uint64 `json:"cache_shard_contention"`
 }
 
-// TestEngineBenchArtifact measures the engine against the sequential
-// baseline on the eight paper designs and writes BENCH_engine.json. The
-// workload repeats every design graph `rounds` times — the what-if re-run
-// shape the memoization layer targets — and the test asserts that (a) all
-// three configurations produce byte-identical offset tables and (b) the
-// pooled+memoized engine is at least 2× faster than the sequential
-// baseline.
-func TestEngineBenchArtifact(t *testing.T) {
+// renderOffsets renders a schedule's irredundant offset table: the bytes
+// the identity checks compare.
+func renderOffsets(tb testing.TB, s *relsched.Schedule) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := cgio.WriteOffsets(&buf, s, relsched.IrredundantAnchors); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestEngineIdentity runs the engine-throughput workload — the eight
+// paper designs, repeated — through the sequential relsched.Compute
+// loop, the uncached engine pool, and the memoizing engine pool. It
+// times nothing and writes nothing. Every configuration must produce
+// offset tables byte-identical to relsched.ReferenceCompute's, and the
+// memoizing engine's counters must balance whatever the interleaving:
+// every lookup is a hit or a miss, every job a hit, a suppressed
+// duplicate, or a compute, and each distinct fingerprint is computed
+// exactly once.
+func TestEngineIdentity(t *testing.T) {
 	jobs := paperDesignJobs(t)
+	const rounds = 4
+	workload := repeatJobs(jobs, rounds)
+	ctx := context.Background()
+
+	want := make([][]byte, len(workload))
+	for i, j := range workload {
+		s, err := relsched.ReferenceCompute(j.Graph)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", j.ID, err)
+		}
+		want[i] = renderOffsets(t, s)
+	}
+	check := func(config string, i int, s *relsched.Schedule, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s %s: %v", config, workload[i].ID, err)
+		}
+		if !bytes.Equal(renderOffsets(t, s), want[i]) {
+			t.Errorf("%s %s: offsets differ from ReferenceCompute", config, workload[i].ID)
+		}
+	}
+	for i, j := range workload {
+		s, err := relsched.Compute(j.Graph)
+		check("sequential", i, s, err)
+	}
+	for i, r := range engine.New(engine.Options{DisableCache: true}).RunAll(ctx, workload) {
+		check("pooled", i, r.Schedule, r.Err)
+	}
+	memo := engine.New(engine.Options{CacheCapacity: 2 * len(jobs)})
+	for i, r := range memo.RunAll(ctx, workload) {
+		check("memoized", i, r.Schedule, r.Err)
+	}
+
+	distinct := make(map[engine.Fingerprint]bool)
+	for _, j := range jobs {
+		distinct[engine.FingerprintOf(j.Graph)] = true
+	}
+	st := memo.Stats()
+	computes := memo.Metrics().Counter(engine.MetricComputes).Value()
+	n := uint64(len(workload))
+	if st.Hits+st.Misses != n {
+		t.Errorf("hits %d + misses %d != %d jobs", st.Hits, st.Misses, n)
+	}
+	if st.Hits+st.Suppressed+computes != n {
+		t.Errorf("hits %d + suppressed %d + computes %d != %d jobs", st.Hits, st.Suppressed, computes, n)
+	}
+	if computes != uint64(len(distinct)) {
+		t.Errorf("computes = %d, want %d (one per distinct fingerprint)", computes, len(distinct))
+	}
+}
+
+// BenchmarkEngineArtifact measures the engine against the sequential
+// baseline on the eight paper designs and writes BENCH_engine.json,
+// appending the same record to BENCH_history.jsonl. The workload
+// repeats every design graph `rounds` times — the what-if re-run shape
+// the memoization layer targets. It runs its timed laps once whatever
+// b.N is, so run it with
+//
+//	go test -run '^$' -bench BenchmarkEngineArtifact -benchtime 1x .
+//
+// It fails when the configurations' offset tables differ or a speed
+// floor is missed: pooled+memoized at least 2× the sequential baseline,
+// the delta edit at least 10× a full recompute, and the worker-count
+// dependent pooled and cold floors below.
+func BenchmarkEngineArtifact(b *testing.B) {
+	jobs := paperDesignJobs(b)
 	// 96 rounds puts each timed repetition near ~25ms; shorter runs sit
 	// inside the wall-clock jitter of a shared runner and the ~15%
 	// pipeline-level differences this artifact records would drown.
 	const rounds = 96
 	workload := repeatJobs(jobs, rounds)
 
-	render := func(s *relsched.Schedule) []byte {
-		var buf bytes.Buffer
-		if err := cgio.WriteOffsets(&buf, s, relsched.IrredundantAnchors); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
 	// Untimed warmup so the first measured configuration does not pay
 	// alone for cold CPU caches and allocator growth.
 	for _, j := range jobs {
 		if _, err := relsched.Compute(j.Graph); err != nil {
-			t.Fatalf("%s: %v", j.ID, err)
+			b.Fatalf("%s: %v", j.ID, err)
 		}
 	}
 
@@ -202,7 +267,7 @@ func TestEngineBenchArtifact(t *testing.T) {
 		for i, j := range workload {
 			s, err := relsched.Compute(j.Graph)
 			if err != nil {
-				t.Fatalf("%s: %v", j.ID, err)
+				b.Fatalf("%s: %v", j.ID, err)
 			}
 			seqScheds[i] = s
 		}
@@ -225,14 +290,14 @@ func TestEngineBenchArtifact(t *testing.T) {
 	runtime.GC()
 	seqOut := make([][]byte, len(workload))
 	for i, s := range seqScheds {
-		seqOut[i] = render(s)
+		seqOut[i] = renderOffsets(b, s)
 	}
 	pooledOut := make([][]byte, len(pooledResults))
 	for i, r := range pooledResults {
 		if r.Err != nil {
-			t.Fatalf("%s: %v", r.JobID, r.Err)
+			b.Fatalf("%s: %v", r.JobID, r.Err)
 		}
-		pooledOut[i] = render(r.Schedule)
+		pooledOut[i] = renderOffsets(b, r.Schedule)
 	}
 
 	// Cold baseline: the seed implementation retained in
@@ -244,14 +309,14 @@ func TestEngineBenchArtifact(t *testing.T) {
 		for i, j := range workload {
 			s, err := relsched.ReferenceCompute(j.Graph)
 			if err != nil {
-				t.Fatalf("%s: reference: %v", j.ID, err)
+				b.Fatalf("%s: reference: %v", j.ID, err)
 			}
 			refScheds[i] = s
 		}
 	})
 	refOut := make([][]byte, len(workload))
 	for i, s := range refScheds {
-		refOut[i] = render(s)
+		refOut[i] = renderOffsets(b, s)
 	}
 
 	memo := engine.New(engine.Options{CacheCapacity: 2 * len(jobs)})
@@ -262,20 +327,20 @@ func TestEngineBenchArtifact(t *testing.T) {
 	memoOut := make([][]byte, len(memoResults))
 	for i, r := range memoResults {
 		if r.Err != nil {
-			t.Fatalf("%s: %v", r.JobID, r.Err)
+			b.Fatalf("%s: %v", r.JobID, r.Err)
 		}
-		memoOut[i] = render(r.Schedule)
+		memoOut[i] = renderOffsets(b, r.Schedule)
 	}
 
-	deltaNS, fullNS := measureDeltaEdit(t, timeBest)
-	corpus := measureCorpus(t, corpusGraphCount, corpusJobCount)
+	deltaNS, fullNS := measureDeltaEdit(b, timeBest)
+	corpus := measureCorpus(b, corpusGraphCount, corpusJobCount)
 
 	identical := true
 	for i := range workload {
 		if !bytes.Equal(seqOut[i], pooledOut[i]) || !bytes.Equal(seqOut[i], memoOut[i]) ||
 			!bytes.Equal(seqOut[i], refOut[i]) {
 			identical = false
-			t.Errorf("job %s: offsets differ across configurations (reference oracle included)", workload[i].ID)
+			b.Errorf("job %s: offsets differ across configurations (reference oracle included)", workload[i].ID)
 		}
 	}
 
@@ -329,40 +394,37 @@ func TestEngineBenchArtifact(t *testing.T) {
 		CorpusP50NS:      corpus.p50.Nanoseconds(),
 		CorpusP95NS:      corpus.p95.Nanoseconds(),
 		CorpusP99NS:      corpus.p99.Nanoseconds(),
-
-		CacheShards:          corpus.shards,
-		CacheShardContention: corpus.contention,
 	}
 	data, err := json.MarshalIndent(art, "", "  ")
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
 	if err := os.WriteFile("BENCH_engine.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
 	// The history is append-only and forever: refuse to extend it with a
 	// malformed artifact (missing cold-path fields would silently break
 	// the regression time series).
 	if err := validateColdFields(art); err != nil {
-		t.Fatalf("refusing to append to BENCH_history.jsonl: %v", err)
+		b.Fatalf("refusing to append to BENCH_history.jsonl: %v", err)
 	}
 	if err := appendBenchHistory("BENCH_history.jsonl", art); err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	t.Logf("sequential %v, pooled %v (%.1fx), pooled+memoized %v (%.1fx), cold baseline %v (cold %.2fx), cache %d/%d hits",
+	b.Logf("sequential %v, pooled %v (%.1fx), pooled+memoized %v (%.1fx), cold baseline %v (cold %.2fx), cache %d/%d hits",
 		seqNS, pooledNS, art.PooledSpeedup, memoNS, art.MemoizedSpeedup, refNS, art.ColdSpeedup, stats.Hits, stats.Hits+stats.Misses)
-	t.Logf("delta edit %v vs full recompute %v (%.0fx)", deltaNS, fullNS, art.DeltaSpeedup)
-	t.Logf("corpus %d jobs over %d graphs: %v (%.0f jobs/s), p50 %v p95 %v p99 %v, %d shards, contention %d",
+	b.Logf("delta edit %v vs full recompute %v (%.0fx)", deltaNS, fullNS, art.DeltaSpeedup)
+	b.Logf("corpus %d jobs over %d graphs: %v (%.0f jobs/s), p50 %v p95 %v p99 %v",
 		corpus.jobs, corpus.graphs, corpus.elapsed, art.CorpusJobsPerSec,
-		corpus.p50, corpus.p95, corpus.p99, corpus.shards, corpus.contention)
+		corpus.p50, corpus.p95, corpus.p99)
 
 	if art.DeltaSpeedup < 10 {
-		t.Errorf("delta speedup %.1fx < 10x acceptance floor (edit %v, recompute %v)",
+		b.Errorf("delta speedup %.1fx < 10x acceptance floor (edit %v, recompute %v)",
 			art.DeltaSpeedup, deltaNS, fullNS)
 	}
 
 	if art.MemoizedSpeedup < 2 {
-		t.Errorf("pooled+memoized speedup %.2fx < 2x acceptance floor", art.MemoizedSpeedup)
+		b.Errorf("pooled+memoized speedup %.2fx < 2x acceptance floor", art.MemoizedSpeedup)
 	}
 	// The pure pooling win only exists when the engine actually resolved
 	// more than one worker (GOMAXPROCS and NumCPU both > 1); with a single
@@ -373,17 +435,17 @@ func TestEngineBenchArtifact(t *testing.T) {
 	// asserted on the noise-cancelling paired ratio.
 	if art.Workers > 1 {
 		if art.PooledSpeedup <= 1 {
-			t.Errorf("pooled speedup %.2fx on %d workers (GOMAXPROCS=%d); want > 1x",
+			b.Errorf("pooled speedup %.2fx on %d workers (GOMAXPROCS=%d); want > 1x",
 				art.PooledSpeedup, art.Workers, art.GOMAXPROCS)
 		}
 		if art.PooledSpeedupPerCore < 1.0 {
-			t.Errorf("pooled speedup per core %.2fx on %d workers; want >= 1.0",
+			b.Errorf("pooled speedup per core %.2fx on %d workers; want >= 1.0",
 				art.PooledSpeedupPerCore, art.Workers)
 		}
 	} else {
-		t.Logf("1 worker: skipping pooled-speedup floors, asserting inline parity (paired ratio %.3f)", pairedRatio)
+		b.Logf("1 worker: skipping pooled-speedup floors, asserting inline parity (paired ratio %.3f)", pairedRatio)
 		if pairedRatio > 1.05 {
-			t.Errorf("pooled/sequential paired ratio %.3f > 1.05 at 1 worker: the inline RunAll path regressed",
+			b.Errorf("pooled/sequential paired ratio %.3f > 1.05 at 1 worker: the inline RunAll path regressed",
 				pairedRatio)
 		}
 	}
@@ -394,11 +456,11 @@ func TestEngineBenchArtifact(t *testing.T) {
 	// but the floor is not asserted.
 	if art.Workers > 1 {
 		if art.ColdSpeedup < 1.5 {
-			t.Errorf("cold speedup %.2fx < 1.5x acceptance floor (baseline %v, cold %v)",
+			b.Errorf("cold speedup %.2fx < 1.5x acceptance floor (baseline %v, cold %v)",
 				art.ColdSpeedup, time.Duration(art.ColdBaselineNS), time.Duration(art.ColdNS))
 		}
 	} else {
-		t.Logf("1 worker: recording cold speedup %.2fx without asserting the 1.5x floor", art.ColdSpeedup)
+		b.Logf("1 worker: recording cold speedup %.2fx without asserting the 1.5x floor", art.ColdSpeedup)
 	}
 }
 
@@ -433,8 +495,6 @@ func validateColdFields(art engineBenchArtifact) error {
 	case art.CorpusP50NS <= 0 || art.CorpusP50NS > art.CorpusP95NS || art.CorpusP95NS > art.CorpusP99NS:
 		return fmt.Errorf("corpus quantiles not ordered: p50 %d p95 %d p99 %d",
 			art.CorpusP50NS, art.CorpusP95NS, art.CorpusP99NS)
-	case art.CacheShards < 4:
-		return fmt.Errorf("cache_shards = %d, want >= 4", art.CacheShards)
 	}
 	return nil
 }
@@ -442,7 +502,7 @@ func validateColdFields(art engineBenchArtifact) error {
 // Corpus-scale sustained ingest: corpusJobCount jobs cycling over
 // corpusGraphCount distinct random graphs. The graph count is sized so
 // the first lap over the corpus is all cold misses (real scheduling
-// through the sharded cache's miss/insert/evict path) and the remaining
+// through the cache's miss/insert/evict path) and the remaining
 // laps are all hits — the steady-state mix a long-running serve daemon
 // settles into.
 const (
@@ -455,8 +515,6 @@ type corpusStats struct {
 	graphs, jobs  int
 	elapsed       time.Duration
 	p50, p95, p99 time.Duration
-	shards        int
-	contention    uint64
 }
 
 // measureCorpus streams jobsN jobs over graphsN distinct feasible
@@ -498,16 +556,13 @@ func measureCorpus(tb testing.TB, graphsN, jobsN int) corpusStats {
 	q := func(p float64) time.Duration {
 		return time.Duration(lat[int(p*float64(len(lat)-1))])
 	}
-	stats := e.Stats()
 	return corpusStats{
-		graphs:     graphsN,
-		jobs:       jobsN,
-		elapsed:    elapsed,
-		p50:        q(0.50),
-		p95:        q(0.95),
-		p99:        q(0.99),
-		shards:     stats.Shards,
-		contention: stats.ShardContention,
+		graphs:  graphsN,
+		jobs:    jobsN,
+		elapsed: elapsed,
+		p50:     q(0.50),
+		p95:     q(0.95),
+		p99:     q(0.99),
 	}
 }
 
@@ -530,7 +585,7 @@ func BenchmarkEngineCorpus(b *testing.B) {
 // through Schedule.Apply (per-edit mean over deltaRounds×2 edits), against
 // a cold relsched.Compute of the same graph. Both sides use the caller's
 // best-of-N timer.
-func measureDeltaEdit(t *testing.T, timeBest func(func()) time.Duration) (deltaNS, fullNS time.Duration) {
+func measureDeltaEdit(t testing.TB, timeBest func(func()) time.Duration) (deltaNS, fullNS time.Duration) {
 	t.Helper()
 	g := randgraph.Chain(100_000, 20_000)
 	fullNS = timeBest(func() {

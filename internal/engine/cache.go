@@ -2,11 +2,7 @@ package engine
 
 import (
 	"container/list"
-	"encoding/binary"
-	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cg"
 	"repro/internal/obs"
@@ -40,278 +36,114 @@ type cacheKey struct {
 	wellPose bool
 }
 
-// cache is an N-way sharded LRU over analysisEntry values. Shard
-// selection hashes the fingerprint prefix, so two workers only contend
-// when they are racing on structurally identical graphs — exactly the
-// case singleflight (the per-shard flight table below) collapses anyway.
-//
-// The layout keeps the *semantics* of a single global LRU while sharding
-// the *locking*:
-//
-//   - each shard owns a mutex, its slice of the entry map, a
-//     recency-ordered ring (container/list), and the flight table for
-//     duplicate suppression of keys hashing to it;
-//   - the capacity bound is global (an atomic size vs an atomic
-//     capacity), not per-shard, so a skewed key distribution can never
-//     shrink the effective cache;
-//   - every get/put stamps the entry with a global recency tick, and
-//     eviction removes the entry whose tick is globally smallest. Under
-//     a sequential workload this reproduces the old single-mutex LRU
-//     eviction order exactly (pinned by TestShardedCacheLRUOracle);
-//     under concurrency the order is approximate by at most the window
-//     of in-flight operations, which is the usual sharded-LRU trade.
-//
-// Hit/miss accounting lives in the engine's metrics; the cache itself
-// reports evictions and shard-lock contention (a failed TryLock on the
-// fast path).
+// cache is a mutex-guarded LRU over analysisEntry values, together with
+// the singleflight table of keys being computed right now. Hit/miss
+// accounting lives in the engine's metrics (the engine also counts
+// duplicate-suppressed lookups); the cache itself reports only
+// evictions, which happen under its lock.
 type cache struct {
-	shards []cacheShard
-	mask   uint64
-
-	capacity atomic.Int64
-	size     atomic.Int64
-	tick     atomic.Uint64 // global recency clock; larger = more recent
-
-	evictions  *obs.Counter
-	contention *obs.Counter
-}
-
-// cacheShard is one lock domain. Padded to a cache line so neighboring
-// shards' mutexes do not false-share under concurrent traffic.
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[cacheKey]*list.Element
-	order   *list.List // front = most recently used within this shard
-	// flight tracks in-progress computations for keys in this shard:
-	// concurrent misses on the same fingerprint wait for the first worker
-	// (the leader) instead of each burning an O(|A|·|V|·|E|) pipeline
-	// run. A key is present exactly while a leader is computing it.
-	flight map[cacheKey]*flightCall
-	_      [24]byte
+	mu       sync.Mutex
+	capacity int
+	entries  map[cacheKey]*list.Element
+	order    *list.List // front = most recently used
+	// flight tracks in-progress computations: concurrent misses on the
+	// same key wait for the first worker (the leader) instead of each
+	// burning an O(|A|·|V|·|E|) pipeline run. A key is present exactly
+	// while a leader is computing it.
+	flight    map[cacheKey]*flightCall
+	evictions *obs.Counter
 }
 
 type cacheItem struct {
 	key   cacheKey
 	entry *analysisEntry
-	tick  uint64 // last-use stamp from cache.tick
 }
 
-// cacheShardCount sizes the shard array: a power of two near
-// 4×GOMAXPROCS (so hash-sprayed workers rarely collide on a lock),
-// clamped to [4, 64]. More shards than capacity is harmless — the
-// capacity bound is global.
-func cacheShardCount() int {
-	n := 4 * runtime.GOMAXPROCS(0)
-	if n < 4 {
-		n = 4
+func newCache(capacity int, evictions *obs.Counter) *cache {
+	return &cache{
+		capacity:  capacity,
+		entries:   make(map[cacheKey]*list.Element, capacity),
+		order:     list.New(),
+		flight:    make(map[cacheKey]*flightCall),
+		evictions: evictions,
 	}
-	if n > 64 {
-		n = 64
-	}
-	p := 4
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
-func newCache(capacity int, evictions, contention *obs.Counter) *cache {
-	n := cacheShardCount()
-	c := &cache{
-		shards:     make([]cacheShard, n),
-		mask:       uint64(n - 1),
-		evictions:  evictions,
-		contention: contention,
-	}
-	c.capacity.Store(int64(capacity))
-	per := capacity/n + 1
-	for i := range c.shards {
-		c.shards[i].entries = make(map[cacheKey]*list.Element, per)
-		c.shards[i].order = list.New()
-		c.shards[i].flight = make(map[cacheKey]*flightCall)
-	}
-	return c
-}
-
-// shardFor selects the lock domain from the fingerprint prefix. SHA-256
-// output is uniform, so the first eight bytes index shards uniformly
-// (pinned by TestShardSelectionUniform).
-func (c *cache) shardFor(key cacheKey) *cacheShard {
-	return &c.shards[binary.LittleEndian.Uint64(key.fp[:8])&c.mask]
-}
-
-// lock acquires a shard's mutex, counting the contended acquisitions
-// (failed TryLock) so BENCH_engine.json and /metrics can report how
-// often workers actually collide on a shard.
-func (c *cache) lock(sh *cacheShard) {
-	if sh.mu.TryLock() {
-		return
-	}
-	c.contention.Inc()
-	sh.mu.Lock()
-}
-
-// get returns the memoized entry for key, promoting it to most recently
-// used. Allocation-free (pinned by the engine's zero-alloc test).
-func (c *cache) get(key cacheKey) (*analysisEntry, bool) {
-	sh := c.shardFor(key)
-	c.lock(sh)
-	el, ok := sh.entries[key]
-	if !ok {
-		sh.mu.Unlock()
-		return nil, false
-	}
-	sh.order.MoveToFront(el)
-	it := el.Value.(*cacheItem)
-	it.tick = c.tick.Add(1)
-	entry := it.entry
-	sh.mu.Unlock()
-	return entry, true
-}
-
-// put inserts an entry, evicting the globally least recently used
-// entries while the cache is over capacity. Duplicate-suppression
-// (the shard flight tables) makes racing insertions of the same key
-// rare, but a leader cancelled between put and flight-exit can still
-// race a successor: the first insertion wins and later duplicates are
-// dropped, so every Result for a given fingerprint shares one entry.
-func (c *cache) put(key cacheKey, entry *analysisEntry) {
-	sh := c.shardFor(key)
-	c.lock(sh)
-	if _, dup := sh.entries[key]; dup {
-		sh.mu.Unlock()
-		return
-	}
-	sh.entries[key] = sh.order.PushFront(&cacheItem{key: key, entry: entry, tick: c.tick.Add(1)})
-	sh.mu.Unlock()
-	c.size.Add(1)
-	c.evictOverCap()
-}
-
-// lookupOrLead is the engine's miss-coalescing lookup: one shard-locked
-// step that either answers from the cache (entry non-nil), joins an
-// in-flight leader (call non-nil, leader false), or registers the
-// caller as the leader for key (leader true). Folding the flight check
-// into the cache lookup closes the old lookup→register window in which
-// two workers could both miss and then race the global flight mutex.
+// lookupOrLead is the engine's miss-coalescing lookup: one locked step
+// that either answers from the cache (entry non-nil, promoted to most
+// recently used), joins an in-flight leader (call non-nil, leader
+// false), or registers the caller as the leader for key (leader true).
+// Folding the flight check into the cache lookup leaves no window in
+// which two workers could both miss and both lead.
 func (c *cache) lookupOrLead(key cacheKey) (entry *analysisEntry, call *flightCall, leader bool) {
-	sh := c.shardFor(key)
-	c.lock(sh)
-	if el, ok := sh.entries[key]; ok {
-		sh.order.MoveToFront(el)
-		it := el.Value.(*cacheItem)
-		it.tick = c.tick.Add(1)
-		entry = it.entry
-		sh.mu.Unlock()
-		return entry, nil, false
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.order.MoveToFront(el)
+		return el.Value.(*cacheItem).entry, nil, false
 	}
-	if call, ok := sh.flight[key]; ok {
-		sh.mu.Unlock()
+	if call, ok := c.flight[key]; ok {
 		return nil, call, false
 	}
 	call = &flightCall{done: make(chan struct{})}
-	sh.flight[key] = call
-	sh.mu.Unlock()
+	c.flight[key] = call
 	return nil, call, true
 }
 
 // leaderDone publishes the leader's outcome: the entry enters the cache
-// and the flight slot is released in one shard-locked step (so a
-// follower that loops after the wake-up cannot miss both), then waiting
-// followers are woken. A cancelled leader passes entry == nil and
-// publishes nothing; its followers loop and elect a new leader.
+// and the flight slot is released in one locked step (so a follower
+// that loops after the wake-up cannot miss both), then waiting followers
+// are woken. A cancelled leader passes entry == nil and publishes
+// nothing; its followers loop and elect a new leader.
 func (c *cache) leaderDone(key cacheKey, call *flightCall, entry *analysisEntry) {
 	call.entry = entry
-	sh := c.shardFor(key)
-	inserted := false
-	c.lock(sh)
-	delete(sh.flight, key)
+	c.mu.Lock()
+	delete(c.flight, key)
 	if entry != nil {
-		if _, dup := sh.entries[key]; !dup {
-			sh.entries[key] = sh.order.PushFront(&cacheItem{key: key, entry: entry, tick: c.tick.Add(1)})
-			inserted = true
+		// A leader cancelled after publishing can race a successor for
+		// the same key: the first insertion wins, so every Result for a
+		// fingerprint shares one entry.
+		if _, dup := c.entries[key]; !dup {
+			c.entries[key] = c.order.PushFront(&cacheItem{key: key, entry: entry})
+			c.evictLocked()
 		}
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	close(call.done)
-	if inserted {
-		c.size.Add(1)
-		c.evictOverCap()
-	}
 }
 
-// evictOverCap evicts globally-oldest entries until size <= capacity.
-// Shard locks are taken one at a time (never nested), so concurrent
-// evictors cannot deadlock; they may both make progress, which only
-// over-evicts by what a racing put immediately re-admits.
-func (c *cache) evictOverCap() {
-	for c.size.Load() > c.capacity.Load() {
-		if !c.evictOldest() {
-			return
-		}
+// evictLocked drops least-recently-used entries while the cache is over
+// capacity. Caller holds mu.
+func (c *cache) evictLocked() {
+	for c.order.Len() > c.capacity {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.entries, oldest.Value.(*cacheItem).key)
+		c.evictions.Inc()
 	}
-}
-
-// evictOldest removes the entry with the globally smallest recency tick:
-// one pass to find the shard whose LRU tail is oldest, then a second
-// lock of that shard to remove its tail. A racing get can promote the
-// chosen tail between the two locks; the then-evicted entry is the
-// shard's second-oldest — still an LRU-tail victim, just not the global
-// minimum. Sequential callers (tests, hot reload) see exact global LRU
-// order.
-func (c *cache) evictOldest() bool {
-	victim := -1
-	oldest := uint64(math.MaxUint64)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		c.lock(sh)
-		if el := sh.order.Back(); el != nil {
-			if it := el.Value.(*cacheItem); it.tick < oldest {
-				oldest, victim = it.tick, i
-			}
-		}
-		sh.mu.Unlock()
-	}
-	if victim < 0 {
-		return false
-	}
-	sh := &c.shards[victim]
-	c.lock(sh)
-	el := sh.order.Back()
-	if el == nil {
-		sh.mu.Unlock()
-		return false
-	}
-	it := el.Value.(*cacheItem)
-	sh.order.Remove(el)
-	delete(sh.entries, it.key)
-	sh.mu.Unlock()
-	c.size.Add(-1)
-	c.evictions.Inc()
-	return true
 }
 
 // len returns the number of live entries.
 func (c *cache) len() int {
-	return int(c.size.Load())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
 }
 
-// numShards returns the shard count (fixed at construction).
-func (c *cache) numShards() int { return len(c.shards) }
-
-// setCapacity rebounds the cache, evicting globally least-recently-used
-// entries when the new capacity is below the current population. The
-// new bound applies to the whole cache, not per shard, so a hot
-// SetCacheCapacity redistributes headroom across shards implicitly:
-// whichever shards hold the oldest entries give them up first.
+// setCapacity rebounds the cache, evicting least-recently-used entries
+// when the new capacity is below the current population.
 func (c *cache) setCapacity(n int) {
-	c.capacity.Store(int64(n))
-	c.evictOverCap()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.capacity = n
+	c.evictLocked()
 }
 
 // getCapacity returns the current bound.
 func (c *cache) getCapacity() int {
-	return int(c.capacity.Load())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.capacity
 }
 
 // CacheStats reports the engine cache's effectiveness.
@@ -328,16 +160,6 @@ type CacheStats struct {
 	Suppressed uint64
 	// Entries is the number of memoized analyses currently held.
 	Entries int
-	// Shards is the number of lock domains the cache is split into
-	// (fixed at construction from GOMAXPROCS); 0 when caching is
-	// disabled.
-	Shards int
-	// ShardContention counts contended shard-lock acquisitions across
-	// the cache, fingerprint-memo, and warm-key shards: a worker found
-	// another worker holding the shard it needed. The per-job rate is
-	// the sharding layer's health number — near zero means workers are
-	// spreading across shards as designed.
-	ShardContention uint64
 }
 
 // HitRate returns Hits/(Hits+Misses), or 0 before any lookup.

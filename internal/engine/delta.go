@@ -24,10 +24,8 @@ type warmEntry struct {
 }
 
 // warmGet returns the warm entry for g's current generation, if any.
-// The warm map lives on pointer-keyed shards (memoshard.go), so workers
-// probing warm entries for unrelated graphs take unrelated locks.
 func (e *Engine) warmGet(g *cg.Graph) (*analysisEntry, bool) {
-	if w, ok := e.warm.get(g, e.metrics.shardContention); ok && w.gen == g.Generation() {
+	if w, ok := e.warm.get(g); ok && w.gen == g.Generation() {
 		return w.entry, true
 	}
 	return nil, false
@@ -35,12 +33,12 @@ func (e *Engine) warmGet(g *cg.Graph) (*analysisEntry, bool) {
 
 // warmPut memoizes a delta schedule under its graph's current
 // generation, replacing any stale entry for the same graph value. Same
-// bounding policy as the fingerprint memo: each shard resets past its
-// slice of maxFingerprintMemo so long-lived engines do not pin dead
+// bounding policy as the fingerprint memo: the map resets past
+// maxFingerprintMemo entries so long-lived engines do not pin dead
 // graphs.
 func (e *Engine) warmPut(s *relsched.Schedule) {
 	entry := &analysisEntry{graph: s.G, info: s.Info, sched: s}
-	e.warm.put(s.G, warmEntry{gen: s.Generation(), entry: entry}, e.metrics.shardContention)
+	e.warm.put(s.G, warmEntry{gen: s.Generation(), entry: entry})
 }
 
 // ApplyDelta applies graph edits to a live schedule through the

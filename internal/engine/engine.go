@@ -184,7 +184,6 @@ type Result struct {
 // reuse it, since the memoized analyses live on the Engine.
 type Engine struct {
 	workers    int
-	par        int // relsched.Options.Parallelism per job, see New
 	jobTimeout time.Duration
 	cache      *cache // nil when caching is disabled
 	stageTimed bool   // Options.StageMetrics: always stamp stage boundaries
@@ -199,21 +198,18 @@ type Engine struct {
 
 	// fps memoizes graph fingerprints per live graph value, keyed by the
 	// generation counter so any mutation invalidates the memo (see
-	// cg.Graph.Generation). Sharded by graph identity (memoshard.go) and
-	// bounded: each shard resets past its slice of maxFingerprintMemo to
-	// keep long-lived engines from pinning dead graphs.
-	fps *ptrShards[fpMemo]
+	// cg.Graph.Generation).
+	fps graphMemo[fpMemo]
 
 	// warm memoizes ApplyDelta results per live graph value, keyed by the
 	// generation counter, so a job resubmitting a delta-edited graph is
 	// answered in O(1) — no SHA-256 refingerprinting anywhere on a delta
-	// chain. Same sharding and bounding as fps. See delta.go.
-	warm *ptrShards[warmEntry]
+	// chain. See delta.go.
+	warm graphMemo[warmEntry]
 }
 
 // flightCall is one in-progress computation other workers can wait on.
-// Calls live in the cache's per-shard flight tables (see cache.go), so
-// duplicate suppression contends only with traffic on the same shard.
+// Calls live in the cache's flight table (see cache.go).
 type flightCall struct {
 	done  chan struct{}  // closed when the leader finishes
 	entry *analysisEntry // nil when the leader was cancelled mid-pipeline
@@ -224,8 +220,38 @@ type fpMemo struct {
 	fp  Fingerprint
 }
 
-// maxFingerprintMemo bounds the per-graph fingerprint memo.
+// maxFingerprintMemo bounds each per-graph memo (fingerprints, warm
+// delta entries).
 const maxFingerprintMemo = 4096
+
+// graphMemo is a bounded map keyed by graph identity under one mutex. It
+// resets itself once it holds maxFingerprintMemo entries, which keeps
+// long-lived engines from pinning every graph a caller ever submitted.
+// Losing an entry is always safe: both memos are pure caches
+// re-derivable from the graph. The zero value is ready to use.
+type graphMemo[V any] struct {
+	mu sync.Mutex
+	m  map[*cg.Graph]V
+}
+
+// get returns the memoized value for g. Allocation-free.
+func (p *graphMemo[V]) get(g *cg.Graph) (V, bool) {
+	p.mu.Lock()
+	v, ok := p.m[g]
+	p.mu.Unlock()
+	return v, ok
+}
+
+// put stores the memoized value for g, resetting the map first if it is
+// full.
+func (p *graphMemo[V]) put(g *cg.Graph, v V) {
+	p.mu.Lock()
+	if p.m == nil || len(p.m) >= maxFingerprintMemo {
+		p.m = make(map[*cg.Graph]V)
+	}
+	p.m[g] = v
+	p.mu.Unlock()
+}
 
 // effectiveCPUs is the number of CPUs the engine can actually schedule
 // on: GOMAXPROCS bounded by the physical core count, so a container
@@ -255,17 +281,8 @@ func New(opts Options) *Engine {
 		registry = obs.NewRegistry()
 	}
 	m := newEngineMetrics(registry)
-	// Per-job intra-pipeline parallelism (relsched's anchor-sharded
-	// stages): split the schedulable CPUs across the worker pool so a
-	// saturated batch does not oversubscribe — each worker gets its share,
-	// and a lone worker (Workers: 1) gets the whole machine.
-	par := effectiveCPUs() / opts.Workers
-	if par < 1 {
-		par = 1
-	}
 	e := &Engine{
 		workers:    opts.Workers,
-		par:        par,
 		jobTimeout: opts.JobTimeout,
 		stageTimed: opts.StageMetrics,
 		registry:   registry,
@@ -275,12 +292,9 @@ func New(opts Options) *Engine {
 		log:        opts.Logger,
 		recorder:   opts.Flight,
 		prof:       opts.Prof,
-		fps:        newPtrShards[fpMemo](maxFingerprintMemo),
-		warm:       newPtrShards[warmEntry](maxFingerprintMemo),
 	}
 	if !opts.DisableCache {
-		e.cache = newCache(opts.CacheCapacity, m.evictions, m.shardContention)
-		m.cacheShards.Set(int64(e.cache.numShards()))
+		e.cache = newCache(opts.CacheCapacity, m.evictions)
 	}
 	return e
 }
@@ -326,13 +340,11 @@ func (e *Engine) Stats() CacheStats {
 	}
 	m := e.metrics
 	return CacheStats{
-		Hits:            m.hits.Value(),
-		Misses:          m.misses.Value(),
-		Evictions:       m.evictions.Value(),
-		Suppressed:      m.suppressed.Value(),
-		Entries:         e.cache.len(),
-		Shards:          e.cache.numShards(),
-		ShardContention: m.shardContention.Value(),
+		Hits:       m.hits.Value(),
+		Misses:     m.misses.Value(),
+		Evictions:  m.evictions.Value(),
+		Suppressed: m.suppressed.Value(),
+		Entries:    e.cache.len(),
 	}
 }
 
@@ -585,9 +597,9 @@ func (e *Engine) Schedule(ctx context.Context, job Job) Result {
 			// time.Now calls on the hit path.
 			t := now
 			cacheSpan := span.StartChild("cache")
-			// One shard-locked step answers the lookup, joins an
-			// in-flight leader, or registers this worker as the leader
-			// (see cache.go).
+			// One locked step answers the lookup, joins an in-flight
+			// leader, or registers this worker as the leader (see
+			// cache.go).
 			entry, call, leader = e.cache.lookupOrLead(key)
 			cacheSpan.End()
 			now = time.Now()
@@ -632,7 +644,7 @@ func (e *Engine) Schedule(ctx context.Context, job Job) Result {
 		}
 
 		// Leader: run the pipeline, then publish entry + release the
-		// flight slot in one shard-locked step and wake the followers.
+		// flight slot in one locked step and wake the followers.
 		// The entry is heap-allocated here because the cache retains it.
 		entry = e.compute(ctx, job, span, jc, new(analysisEntry))
 		e.cache.leaderDone(key, call, entry)
@@ -796,9 +808,9 @@ func (e *Engine) compute(ctx context.Context, job Job, parent *trace.Span, jc *j
 	)
 	e.prof.DoStage(ctx, prof.StageAnalyze, func() {
 		if sets != nil {
-			info, err = relsched.AnalyzeFromSets(entry.graph, sets, relsched.Options{Parallelism: e.par})
+			info, err = relsched.AnalyzeFromSets(entry.graph, sets)
 		} else {
-			info, err = relsched.AnalyzeOpts(entry.graph, relsched.Options{Parallelism: e.par})
+			info, err = relsched.Analyze(entry.graph)
 		}
 	})
 	if err != nil {
@@ -828,7 +840,7 @@ func (e *Engine) compute(ctx context.Context, job Job, parent *trace.Span, jc *j
 	sp = parent.StartChild("schedule")
 	var sched *relsched.Schedule
 	e.prof.DoStage(ctx, prof.StageSchedule, func() {
-		sched, err = relsched.ComputeFromAnalysisOpts(info, e.stageHooks(sp), relsched.Options{Parallelism: e.par})
+		sched, err = relsched.ComputeFromAnalysisTraced(info, e.stageHooks(sp))
 	})
 	if err != nil {
 		sp.End()
@@ -890,16 +902,14 @@ func modeLabel(wellPose bool) string {
 // (graph value, generation) so resubmitting the same graph skips the
 // structural hash. A mutation bumps the generation (cg.Graph.Generation)
 // and forces a re-hash — the stale-cache guard the memoization layer
-// relies on. The memo is sharded by graph identity (memoshard.go), so
-// concurrent workers fingerprinting unrelated graphs take unrelated
-// locks.
+// relies on.
 func (e *Engine) fingerprint(g *cg.Graph) Fingerprint {
 	gen := g.Generation()
-	if m, ok := e.fps.get(g, e.metrics.shardContention); ok && m.gen == gen {
+	if m, ok := e.fps.get(g); ok && m.gen == gen {
 		return m.fp
 	}
 	fp := FingerprintOf(g)
-	e.fps.put(g, fpMemo{gen: gen, fp: fp}, e.metrics.shardContention)
+	e.fps.put(g, fpMemo{gen: gen, fp: fp})
 	return fp
 }
 
@@ -908,20 +918,8 @@ func (e *Engine) fingerprint(g *cg.Graph) Fingerprint {
 // fingerprint is nice to have (flight records) but not worth an
 // O(|V|+|E|) hash to produce.
 func (e *Engine) fingerprintPeek(g *cg.Graph) (Fingerprint, bool) {
-	if m, ok := e.fps.get(g, e.metrics.shardContention); ok && m.gen == g.Generation() {
+	if m, ok := e.fps.get(g); ok && m.gen == g.Generation() {
 		return m.fp, true
 	}
 	return Fingerprint{}, false
-}
-
-// PrewarmFingerprint computes and memoizes g's canonical fingerprint so
-// a later Schedule call for the same graph value finds it in O(1). The
-// serving layer's intake stage calls this off the worker pool — the
-// SHA-256 pass overlaps the scheduling of earlier jobs instead of
-// serializing behind them.
-func (e *Engine) PrewarmFingerprint(g *cg.Graph) {
-	if e.cache == nil {
-		return
-	}
-	e.fingerprint(g)
 }

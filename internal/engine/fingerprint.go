@@ -26,8 +26,8 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 // fpHasher is a reusable fingerprinting state: the SHA-256 state plus
 // the staging buffers that keep every Write on stack-owned memory. The
 // pool amortizes the hash-state allocation across jobs, so sustained
-// intake (serve's fingerprint stage, batch streams) hashes thousands of
-// graphs without per-graph allocation.
+// intake (serve's workers, batch streams) hashes thousands of graphs
+// without per-graph allocation.
 type fpHasher struct {
 	h       hash.Hash
 	buf     [8]byte

@@ -45,13 +45,6 @@ const (
 	MetricDeltaApplied  = "engine.delta.applied"
 	MetricDeltaFailed   = "engine.delta.failed"
 	MetricDeltaWarmHits = "engine.delta.warm_hits"
-	// Sharded-state health (see cache.go): the number of lock domains the
-	// cache/memo state is split into, and how often a worker found its
-	// shard's lock already held (a failed TryLock). The contention counter
-	// spans the fingerprint cache, the fingerprint memo, and the delta
-	// warm-key shards; its per-job rate should stay near zero.
-	MetricCacheShards          = "engine.cache.shards"
-	MetricCacheShardContention = "engine.cache.shard_contention"
 	// Per-stage latency histograms of the scheduling pipeline.
 	// Recorded for *instrumented* jobs only — ones carrying a sampled
 	// trace span, a flight capture, pprof stage labels, or a debug log
@@ -84,8 +77,6 @@ type engineMetrics struct {
 	lookups, hits, misses, evictions           *obs.Counter
 	suppressed, computes                       *obs.Counter
 	deltaApplied, deltaFailed, warmHits        *obs.Counter
-	shardContention                            *obs.Counter
-	cacheShards                                *obs.Gauge
 	relaxSweeps, readjusted, serialEdges       *obs.Counter
 	inflight, queueDepth                       *obs.Gauge
 	stageFingerprint, stageCache               *obs.Histogram
@@ -108,8 +99,6 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		deltaApplied:     r.Counter(MetricDeltaApplied),
 		deltaFailed:      r.Counter(MetricDeltaFailed),
 		warmHits:         r.Counter(MetricDeltaWarmHits),
-		shardContention:  r.Counter(MetricCacheShardContention),
-		cacheShards:      r.Gauge(MetricCacheShards),
 		relaxSweeps:      r.Counter(MetricRelaxSweeps),
 		readjusted:       r.Counter(MetricReadjustedOffsets),
 		serialEdges:      r.Counter(MetricSerializationEdges),

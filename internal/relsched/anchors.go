@@ -8,7 +8,6 @@ package relsched
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/cg"
@@ -254,42 +253,26 @@ func (ai *AnchorInfo) irredundantAt(v int, longest [][]int, ir bitset.Set, full 
 // computations diverge on positive cycles, so Analyze returns
 // ErrUnfeasible in that case.
 func Analyze(g *cg.Graph) (*AnchorInfo, error) {
-	return AnalyzeOpts(g, Options{})
-}
-
-// AnalyzeOpts is Analyze with performance options. The per-anchor work —
-// the Bellman–Ford longest-path solve and the forward-reachability flood —
-// is independent across anchors, so above the internal size threshold it
-// is sharded over opt.Parallelism goroutines. Results are identical for
-// every Options value.
-func AnalyzeOpts(g *cg.Graph, opt Options) (*AnchorInfo, error) {
 	if err := g.Freeze(); err != nil {
 		return nil, err
 	}
 	if g.HasPositiveCycle() {
 		return nil, ErrUnfeasible
 	}
-	return analyzeFromSets(g, anchorSets(g), opt)
+	return AnalyzeFromSets(g, anchorSets(g))
 }
 
 // AnalyzeFromSets completes an anchor-set analysis started by
 // CheckWellPosedAnalyzed: ai must be that call's result for the same
 // graph. It runs the relevant-anchor, longest-path, reachability, and
 // redundancy-removal passes on top of the already-computed full anchor
-// sets, producing an AnchorInfo identical to AnalyzeOpts(g, opt) —
-// without repeating the anchor-set pass, which dominates the
-// well-posedness check and the analysis alike. The pair exists so a
-// pipeline that both *checks* well-posedness and *analyzes* (the
-// engine's hot path) computes the anchor sets once instead of twice;
-// Compute keeps the paper's two-pass structure.
-func AnalyzeFromSets(g *cg.Graph, ai *AnchorInfo, opt Options) (*AnchorInfo, error) {
-	return analyzeFromSets(g, ai, opt)
-}
-
-// analyzeFromSets is the shared tail of AnalyzeOpts and AnalyzeFromSets:
-// everything after (and excluding) the anchorSets pass. g must be frozen
-// and feasible, ai fresh from anchorSets(g).
-func analyzeFromSets(g *cg.Graph, ai *AnchorInfo, opt Options) (*AnchorInfo, error) {
+// sets, producing an AnchorInfo identical to Analyze(g) — without
+// repeating the anchor-set pass, which dominates the well-posedness
+// check and the analysis alike. The pair exists so a pipeline that both
+// *checks* well-posedness and *analyzes* (the engine's hot path)
+// computes the anchor sets once instead of twice; Compute keeps the
+// paper's two-pass structure.
+func AnalyzeFromSets(g *cg.Graph, ai *AnchorInfo) (*AnchorInfo, error) {
 	ai.relevantAnchors()
 	nA := len(ai.List)
 	n := g.N()
@@ -297,17 +280,13 @@ func analyzeFromSets(g *cg.Graph, ai *AnchorInfo, opt Options) (*AnchorInfo, err
 	ai.Reach = make([][]bool, nA)
 	ai.FwdReach = make([][]bool, nA)
 	// Both boolean tables are carved from flat arenas — two allocations
-	// for 2·nA rows. Rows are disjoint subslices, so the parallel shards
-	// below never write the same element.
+	// for 2·nA rows.
 	reachArena := make([]bool, nA*n)
 	fwdArena := make([]bool, nA*n)
-	// analyzeAnchor fills row i of the three per-anchor tables; it reports
-	// false when longest paths from the anchor diverge (positive cycle).
-	analyzeAnchor := func(i int) bool {
-		a := ai.List[i]
+	for i, a := range ai.List {
 		d, ok := g.LongestFrom(a)
 		if !ok {
-			return false
+			return nil, ErrUnfeasible
 		}
 		ai.Longest[i] = d
 		reach := reachArena[i*n : (i+1)*n : (i+1)*n]
@@ -318,27 +297,6 @@ func analyzeFromSets(g *cg.Graph, ai *AnchorInfo, opt Options) (*AnchorInfo, err
 		fwd := fwdArena[i*n : (i+1)*n : (i+1)*n]
 		g.ReachableForwardInto(a, fwd)
 		ai.FwdReach[i] = fwd
-		return true
-	}
-	if par := opt.shards(nA, nA*(g.N()+g.M())); par > 1 {
-		var unfeasible atomic.Bool
-		runShards(par, nA, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if !analyzeAnchor(i) {
-					unfeasible.Store(true)
-					return
-				}
-			}
-		})
-		if unfeasible.Load() {
-			return nil, ErrUnfeasible
-		}
-	} else {
-		for i := range ai.List {
-			if !analyzeAnchor(i) {
-				return nil, ErrUnfeasible
-			}
-		}
 	}
 	ai.irredundantAnchors(ai.Longest)
 	return ai, nil

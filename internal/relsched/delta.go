@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/cg"
@@ -145,9 +144,9 @@ var deltaPool = sync.Pool{New: func() any { return new(deltaScratch) }}
 // proportional to the vertices whose offsets, anchor sets, or
 // reachability actually change. Removals re-derive the rows of the
 // anchors that reached the removed edge. Vertex insertion re-runs the
-// cold pipeline. Options and Hooks carry over from the base schedule, so
-// incremental re-schedules trace and parallelize exactly like the cold
-// compute that produced the base.
+// cold pipeline. Hooks carry over from the base schedule, so incremental
+// re-schedules are traced exactly like the cold compute that produced
+// the base.
 func (s *Schedule) Apply(edits ...cg.Edit) (*Schedule, error) {
 	if s.gen != s.G.Generation() {
 		return nil, fmt.Errorf("%w (schedule gen %d, graph gen %d)", ErrStaleSchedule, s.gen, s.G.Generation())
@@ -216,7 +215,7 @@ func (s *Schedule) applyInsert(ed cg.Edit) (*Schedule, cg.Delta, error) {
 	if err := CheckWellPosed(g); err != nil {
 		return revertAfter(g, d, err)
 	}
-	info, err := AnalyzeOpts(g, s.opt)
+	info, err := Analyze(g)
 	if err != nil {
 		return revertAfter(g, d, err)
 	}
@@ -230,7 +229,7 @@ func (s *Schedule) applyInsert(ed cg.Edit) (*Schedule, cg.Delta, error) {
 			return revertAfter(g, d, &AnchorDriftError{Vertex: a, Reason: "anchor list changed across rebuild"})
 		}
 	}
-	next, err := schedule(info, s.hooks, s.opt)
+	next, err := schedule(info, s.hooks)
 	if err != nil {
 		return revertAfter(g, d, err)
 	}
@@ -256,8 +255,8 @@ func (s *Schedule) applyAddition(ed cg.Edit) (*Schedule, cg.Delta, error) {
 
 	next := &Schedule{
 		G: g, Iterations: s.Iterations, nV: s.nV,
-		rows: append([][]int(nil), s.rows...),
-		opt:  s.opt, hooks: s.hooks, gen: g.Generation(),
+		rows:  append([][]int(nil), s.rows...),
+		hooks: s.hooks, gen: g.Generation(),
 	}
 	info := *s.Info
 	next.Info = &info
@@ -426,8 +425,8 @@ func (s *Schedule) applyRemoval(ed cg.Edit) (*Schedule, cg.Delta, error) {
 
 	next := &Schedule{
 		G: g, Iterations: s.Iterations, nV: s.nV,
-		rows: append([][]int(nil), s.rows...),
-		opt:  s.opt, hooks: s.hooks, gen: g.Generation(),
+		rows:  append([][]int(nil), s.rows...),
+		hooks: s.hooks, gen: g.Generation(),
 	}
 	info := *s.Info
 	next.Info = &info
@@ -773,13 +772,9 @@ func relaxWorklist(g *cg.Graph, row []int, wl []int, ts *touchSet, reachAdds *[]
 
 // solveRowsWarm runs the classic §IV-E sweep/readjust loop over the given
 // anchor rows on the adjacency view (the delta path leaves the CSR stale
-// on purpose), warm-starting from the rows' current values. Rows above
-// the parallel threshold shard across goroutines exactly like the cold
-// path — the base schedule's Options carry over, fixing the incremental
-// path's dropped-Options bug. touched/reachAdds, when non-nil, record
-// raised vertices and NoOffset transitions for the caller's
-// copy-on-write bookkeeping (callers passing them always run
-// single-row, so recording stays sequential).
+// on purpose), warm-starting from the rows' current values.
+// touched/reachAdds, when non-nil, record raised vertices and NoOffset
+// transitions for the caller's copy-on-write bookkeeping.
 func (s *Schedule) solveRowsWarm(rows []int, touched *touchSet, reachAdds *[]pair) error {
 	g := s.G
 	topo := g.TopoForward()
@@ -833,46 +828,19 @@ func (s *Schedule) solveRowsWarm(rows []int, touched *touchSet, reachAdds *[]pai
 		}
 		return maxIter, ErrInconsistent
 	}
-	merge := func(iters int) {
+	var err error
+	for _, ai := range rows {
+		var iters int
+		iters, err = solveRow(ai)
 		if iters > s.Iterations {
 			s.Iterations = iters
 		}
-	}
-	par := s.opt.shards(len(rows), len(rows)*(g.N()+g.M()))
-	if par > 1 && touched == nil && reachAdds == nil {
-		var bad atomic.Bool
-		var maxIters atomic.Int64
-		runShards(par, len(rows), func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				iters, err := solveRow(rows[k])
-				if err != nil {
-					bad.Store(true)
-				}
-				for {
-					cur := maxIters.Load()
-					if int64(iters) <= cur || maxIters.CompareAndSwap(cur, int64(iters)) {
-						break
-					}
-				}
-			}
-		})
-		merge(int(maxIters.Load()))
-		s.hooks.relaxationSweep(s.Iterations)
-		if bad.Load() {
-			return ErrInconsistent
-		}
-		return nil
-	}
-	for _, ai := range rows {
-		iters, err := solveRow(ai)
-		merge(iters)
 		if err != nil {
-			s.hooks.relaxationSweep(s.Iterations)
-			return err
+			break
 		}
 	}
 	s.hooks.relaxationSweep(s.Iterations)
-	return nil
+	return err
 }
 
 // growFull merges the new forward edge's contribution — the tail's
@@ -1126,7 +1094,7 @@ func (s *Schedule) Fork() (*Schedule, error) {
 	info.G = g2
 	return &Schedule{
 		G: g2, Info: &info, Iterations: s.Iterations,
-		rows: s.rows, nV: s.nV, opt: s.opt, hooks: s.hooks,
+		rows: s.rows, nV: s.nV, hooks: s.hooks,
 		gen: g2.Generation(),
 	}, nil
 }

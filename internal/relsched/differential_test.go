@@ -130,48 +130,6 @@ func TestDifferential_RandomCorpus(t *testing.T) {
 	}
 }
 
-// TestDifferential_ParallelMatchesSequential drives graphs large enough to
-// clear the internal fan-out threshold through the anchor-parallel
-// analysis and scheduling paths and requires bit-identical results against
-// the sequential run. (The race detector covers these goroutines whenever
-// the package tests run under -race, e.g. the CI bench-smoke job.)
-func TestDifferential_ParallelMatchesSequential(t *testing.T) {
-	cfg := randgraph.Config{
-		N: 1500, AnchorProb: 0.05, MaxDelay: 6, MaxFanIn: 3,
-		MinConstraints: 30, MaxConstraints: 30, MaxSlack: 5,
-	}
-	for seed := int64(0); seed < 6; seed++ {
-		g := randgraph.Generate(cfg, rand.New(rand.NewSource(0xC0FFEE+seed)))
-		seq, seqErr := relsched.ComputeOpts(g, relsched.Options{})
-		par, parErr := relsched.ComputeOpts(g, relsched.Options{Parallelism: 8})
-		if (seqErr == nil) != (parErr == nil) {
-			t.Fatalf("seed %d: sequential err %v, parallel err %v", seed, seqErr, parErr)
-		}
-		if seqErr != nil {
-			continue
-		}
-		if seq.Iterations != par.Iterations {
-			t.Errorf("seed %d: iterations: sequential %d, parallel %d", seed, seq.Iterations, par.Iterations)
-		}
-		agreeEverywhere(t, fmt.Sprintf("seed %d parallel vs sequential", seed), par, seq)
-		// The analyses must agree too (Longest feeds redundancy removal
-		// and memoization; FwdReach seeds every schedule).
-		pinfo, err := relsched.AnalyzeOpts(g, relsched.Options{Parallelism: 8})
-		if err != nil {
-			t.Fatalf("seed %d: parallel analyze: %v", seed, err)
-		}
-		for ai := range seq.Info.List {
-			for v := 0; v < g.N(); v++ {
-				if seq.Info.Longest[ai][v] != pinfo.Longest[ai][v] ||
-					seq.Info.Reach[ai][v] != pinfo.Reach[ai][v] ||
-					seq.Info.FwdReach[ai][v] != pinfo.FwdReach[ai][v] {
-					t.Fatalf("seed %d: analysis row %d differs at vertex %d", seed, ai, v)
-				}
-			}
-		}
-	}
-}
-
 // TestScheduleColdAllocs pins the steady-state allocation count of the
 // pooled cold scheduling stage: one Schedule header plus one offset arena
 // per job (the arena transfers to the returned schedule; the active-anchor

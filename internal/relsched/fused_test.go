@@ -13,14 +13,14 @@ import (
 
 // This file pins the fused check+analysis entry points
 // (CheckWellPosedAnalyzed → AnalyzeFromSets) to the two-pass pipeline
-// (CheckWellPosed, then AnalyzeOpts) they replace on the engine's hot
+// (CheckWellPosed, then Analyze) they replace on the engine's hot
 // path: same verdicts, same anchor sets, and byte-identical schedules
 // on every graph of the eight paper designs and a seeded random corpus.
 
 // TestAnalyzeFromSets is the equivalence sweep: for every corpus graph,
 // the fused path must reject exactly the graphs CheckWellPosed rejects,
 // and on acceptance produce an analysis and schedule identical to the
-// AnalyzeOpts/Compute pipeline.
+// Analyze/Compute pipeline.
 func TestAnalyzeFromSets(t *testing.T) {
 	corpus := make(map[string]*cg.Graph)
 	for _, d := range designs.All() {
@@ -51,13 +51,13 @@ func TestAnalyzeFromSets(t *testing.T) {
 			continue
 		}
 
-		fused, err := relsched.AnalyzeFromSets(g, sets, relsched.Options{})
+		fused, err := relsched.AnalyzeFromSets(g, sets)
 		if err != nil {
 			t.Fatalf("%s: AnalyzeFromSets: %v", label, err)
 		}
-		oracle, err := relsched.AnalyzeOpts(g, relsched.Options{})
+		oracle, err := relsched.Analyze(g)
 		if err != nil {
-			t.Fatalf("%s: AnalyzeOpts: %v", label, err)
+			t.Fatalf("%s: Analyze: %v", label, err)
 		}
 		ff, fr, fi := fused.TotalSizes()
 		of, or, oi := oracle.TotalSizes()

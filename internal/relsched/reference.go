@@ -32,7 +32,7 @@ type referenceSchedule struct {
 // ReferenceCompute runs the retained seed implementation of the full
 // pipeline on g: well-posedness check, anchor analysis, and iterative
 // incremental scheduling, all over the mutable-graph adjacency (no CSR,
-// no arena, no pooling, no parallelism). The result is a *Schedule
+// no arena, no pooling). The result is a *Schedule
 // structurally identical to what Compute returns (same Iterations, same
 // offsets) on every well-posed graph.
 func ReferenceCompute(g *cg.Graph) (*Schedule, error) {

@@ -40,38 +40,6 @@ func (m AnchorMode) String() string {
 	return fmt.Sprintf("AnchorMode(%d)", int(m))
 }
 
-// Options tunes how the scheduling pipeline spends hardware, without any
-// effect on results: every configuration produces bit-identical anchor
-// analyses and offset tables. The zero value is the sequential default.
-type Options struct {
-	// Parallelism caps the number of goroutines used for the
-	// embarrassingly per-anchor stages: the Bellman–Ford longest-path
-	// loop of Analyze and the anchor-sharded relaxation sweeps of the
-	// iterative scheduler. Values <= 1 keep everything on the calling
-	// goroutine. Graphs below an internal size threshold never fan out
-	// regardless — goroutine handoff would cost more than the sweep.
-	Parallelism int
-}
-
-// parallelMinWork is the minimum per-stage work estimate (anchors ×
-// (vertices + edges)) below which the per-anchor stages stay sequential:
-// the paper-scale designs sit far under it, and for them a goroutine
-// handoff costs more than the whole sweep.
-const parallelMinWork = 1 << 15
-
-// shards resolves the worker count for a per-anchor stage over nA anchors
-// with the given work estimate.
-func (o Options) shards(nA, work int) int {
-	p := o.Parallelism
-	if p <= 1 || nA < 2 || work < parallelMinWork {
-		return 1
-	}
-	if p > nA {
-		p = nA
-	}
-	return p
-}
-
 // Schedule is a minimum relative schedule: for every vertex, the minimum
 // offset from each anchor in its anchor set (Definition 5). Offsets are
 // stored against the full anchor sets; the Relevant/Irredundant modes are
@@ -99,12 +67,10 @@ type Schedule struct {
 	rows [][]int
 	nV   int
 
-	// opt and hooks are the performance options and trace hooks the
-	// schedule was computed with. Derived schedules (Apply, the
-	// WithMax/WithMinConstraint probes) inherit them, so incremental
-	// re-schedules run with the same parallelism and tracing as the cold
-	// path that produced the base — see docs/INCREMENTAL.md.
-	opt   Options
+	// hooks are the trace hooks the schedule was computed with. Derived
+	// schedules (Apply, the WithMax/WithMinConstraint probes) inherit
+	// them, so incremental re-schedules are traced like the cold path
+	// that produced the base — see docs/INCREMENTAL.md.
 	hooks *Hooks
 
 	// gen is the graph generation this schedule describes. Apply demands
@@ -203,20 +169,14 @@ func (s *Schedule) GlobalMaxOffset(mode AnchorMode) int {
 // exists. The input graph must be well-posed; use MakeWellPosed first to
 // repair ill-posed graphs.
 func Compute(g *cg.Graph) (*Schedule, error) {
-	return ComputeOpts(g, Options{})
-}
-
-// ComputeOpts is Compute with performance options; results are identical
-// for every Options value.
-func ComputeOpts(g *cg.Graph, opt Options) (*Schedule, error) {
 	if err := CheckWellPosed(g); err != nil {
 		return nil, err
 	}
-	info, err := AnalyzeOpts(g, opt)
+	info, err := Analyze(g)
 	if err != nil {
 		return nil, err
 	}
-	return schedule(info, nil, opt)
+	return schedule(info, nil)
 }
 
 // ComputeFromAnalysis runs the iterative incremental scheduling of
@@ -226,20 +186,14 @@ func ComputeOpts(g *cg.Graph, opt Options) (*Schedule, error) {
 // entry point exists for callers that schedule the same graph repeatedly
 // (benchmarks, conflict-resolution search).
 func ComputeFromAnalysis(info *AnchorInfo) (*Schedule, error) {
-	return schedule(info, nil, Options{})
+	return schedule(info, nil)
 }
 
 // ComputeFromAnalysisTraced is ComputeFromAnalysis with an optional trace
 // hook observing the relaxation loop (see Hooks). A nil hook is valid and
 // equivalent to ComputeFromAnalysis.
 func ComputeFromAnalysisTraced(info *AnchorInfo, h *Hooks) (*Schedule, error) {
-	return schedule(info, h, Options{})
-}
-
-// ComputeFromAnalysisOpts is ComputeFromAnalysisTraced with performance
-// options (see Options); the hook may be nil.
-func ComputeFromAnalysisOpts(info *AnchorInfo, h *Hooks, opt Options) (*Schedule, error) {
-	return schedule(info, h, opt)
+	return schedule(info, h)
 }
 
 // ComputeWellPosed is Compute for graphs that may be ill-posed: it first
@@ -268,7 +222,7 @@ func (s *Schedule) sigma(ai int, v cg.VertexID) (int, bool) {
 
 // scratch is the reusable cold-path working set: the flat offset arena the
 // scheduler iterates in and the per-vertex active-anchor bitset of the
-// sequential sweeps. Recycling through schedulePool keeps the per-job
+// sweeps. Recycling through schedulePool keeps the per-job
 // steady-state allocation count flat (pinned by the AllocsPerRun test in
 // differential_test.go): the bitset is reused across jobs outright, and
 // the arena is reused whenever a schedule fails or is discarded — on
@@ -310,14 +264,14 @@ func (sc *scratch) bitset(n int) []uint64 {
 // schedule runs iterative incremental scheduling (§IV-E) against the full
 // anchor sets in info. The graph must already be known well-posed. The
 // hook (nilable) observes each relaxation sweep and readjustment pass.
-func schedule(info *AnchorInfo, h *Hooks, opt Options) (*Schedule, error) {
+func schedule(info *AnchorInfo, h *Hooks) (*Schedule, error) {
 	g := info.G
-	s := &Schedule{G: g, Info: info, nV: g.N(), opt: opt, hooks: h, gen: g.Generation()}
+	s := &Schedule{G: g, Info: info, nV: g.N(), hooks: h, gen: g.Generation()}
 	sc := schedulePool.Get().(*scratch)
 	s.off = sc.offsets(len(info.List) * g.N())
 	s.bindRows(len(info.List))
 	s.initOffsets()
-	err := s.solve(h, opt, sc)
+	err := s.solve(h, sc)
 	if err != nil {
 		schedulePool.Put(sc) // arena included: the failed table is discarded
 		return nil, err
@@ -353,17 +307,11 @@ func (s *Schedule) initOffsets() {
 // receiver's offset arena in place. Offsets only ever increase, so warm
 // starts (reschedule) are sound (Lemma 8).
 //
-// Two iteration strategies produce identical tables (each anchor's row
-// depends only on itself, and within a row the edge order is fixed):
-//
-//   - sequential: one pass over the topo-ordered forward edge arrays per
-//     sweep, visiting at each edge only the anchors with a defined offset
-//     at the tail, via a per-vertex active-anchor bitset — sparse anchor
-//     sets skip the |A|-wide inner loop;
-//   - parallel: the anchor rows are sharded over opt.Parallelism
-//     goroutines, each sweeping its rows independently (no shared writes,
-//     so no synchronization inside a sweep).
-func (s *Schedule) solve(h *Hooks, opt Options, sc *scratch) error {
+// Each sweep is one pass over the topo-ordered forward edge arrays,
+// visiting at each edge only the anchors with a defined offset at the
+// tail, via a per-vertex active-anchor bitset — sparse anchor sets skip
+// the |A|-wide inner loop.
+func (s *Schedule) solve(h *Hooks, sc *scratch) error {
 	g := s.G
 	if g.CSR() == nil {
 		// Defensive: every analysis path freezes first, but a
@@ -373,43 +321,15 @@ func (s *Schedule) solve(h *Hooks, opt Options, sc *scratch) error {
 		}
 	}
 	c := g.CSR()
-	nA := len(s.Info.List)
 	maxIter := len(c.BwdFrom) + 1
-	par := opt.shards(nA, nA*(g.N()+g.M()))
-
-	var active []uint64
-	wpa := 0 // active-bitset words per vertex
-	if par == 1 {
-		wpa = (nA + 63) / 64
-		active = sc.bitset(g.N() * wpa)
-		s.buildActive(active, wpa)
-	}
+	wpa := (len(s.Info.List) + 63) / 64 // active-bitset words per vertex
+	active := sc.bitset(g.N() * wpa)
+	s.buildActive(active, wpa)
 	for iter := 1; iter <= maxIter; iter++ {
-		if par == 1 {
-			s.sweepForward(c, active, wpa)
-		} else {
-			runShards(par, nA, func(lo, hi int) { s.sweepForwardRows(c, lo, hi) })
-		}
+		s.sweepForward(c, active, wpa)
 		s.Iterations = iter
 		h.relaxationSweep(iter)
-		var raised int
-		if par == 1 {
-			raised = s.readjust(c, active, wpa)
-		} else {
-			counts := make([]int, par)
-			shard := 0
-			var mu sync.Mutex
-			runShards(par, nA, func(lo, hi int) {
-				n := s.readjustRows(c, lo, hi)
-				mu.Lock()
-				counts[shard] = n
-				shard++
-				mu.Unlock()
-			})
-			for _, n := range counts {
-				raised += n
-			}
-		}
+		raised := s.readjust(c, active, wpa)
 		h.readjustment(raised)
 		if raised == 0 {
 			return nil
@@ -434,7 +354,7 @@ func (s *Schedule) buildActive(active []uint64, wpa int) {
 	}
 }
 
-// sweepForward is one sequential IncrementalOffset relaxation sweep: the
+// sweepForward is one IncrementalOffset relaxation sweep: the
 // topo-ordered forward edges are scanned once, and at each edge only the
 // anchors active at the tail are relaxed. A head entry leaving NoOffset
 // activates its bit so later edges in the same sweep observe it (the
@@ -466,7 +386,7 @@ func (s *Schedule) sweepForward(c *cg.CSR, active []uint64, wpa int) {
 	}
 }
 
-// readjust is one sequential ReadjustOffset pass over the backward edges,
+// readjust is one ReadjustOffset pass over the backward edges,
 // raising violated offsets to the minimum satisfying value and returning
 // the number of raises (0 = converged). A head at the NoOffset sentinel is
 // reachable only through backward edges and acquires its first value (and
@@ -498,61 +418,4 @@ func (s *Schedule) readjust(c *cg.CSR, active []uint64, wpa int) int {
 		}
 	}
 	return raised
-}
-
-// sweepForwardRows is the row-sharded IncrementalOffset sweep for anchor
-// indices [lo, hi): each row relaxes over the topo-ordered forward edges
-// independently, touching no other row.
-func (s *Schedule) sweepForwardRows(c *cg.CSR, lo, hi int) {
-	for ai := lo; ai < hi; ai++ {
-		row := s.row(ai)
-		for k := range c.TopoFrom {
-			f := row[c.TopoFrom[k]]
-			if f == NoOffset {
-				continue
-			}
-			if d := f + c.TopoW[k]; d > row[c.TopoTo[k]] {
-				row[c.TopoTo[k]] = d
-			}
-		}
-	}
-}
-
-// readjustRows is the row-sharded ReadjustOffset pass for anchor indices
-// [lo, hi), returning the number of offsets raised in those rows.
-func (s *Schedule) readjustRows(c *cg.CSR, lo, hi int) int {
-	raised := 0
-	for ai := lo; ai < hi; ai++ {
-		row := s.row(ai)
-		for k := range c.BwdFrom {
-			f := row[c.BwdFrom[k]]
-			if f == NoOffset {
-				continue
-			}
-			if d := f + c.BwdW[k]; d > row[c.BwdTo[k]] {
-				row[c.BwdTo[k]] = d
-				raised++
-			}
-		}
-	}
-	return raised
-}
-
-// runShards splits [0, nA) into par contiguous shards and runs fn on each
-// concurrently, returning when all are done.
-func runShards(par, nA int, fn func(lo, hi int)) {
-	chunk := (nA + par - 1) / par
-	var wg sync.WaitGroup
-	for lo := 0; lo < nA; lo += chunk {
-		hi := lo + chunk
-		if hi > nA {
-			hi = nA
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

@@ -51,11 +51,14 @@ func ComputeTrace(g *cg.Graph) (*Schedule, *Trace, error) {
 	}
 	csr := g.CSR()
 	maxIter := len(csr.BwdFrom) + 1
+	wpa := (nA + 63) / 64
+	active := make([]uint64, g.N()*wpa)
+	s.buildActive(active, wpa)
 	for c := 1; c <= maxIter; c++ {
-		s.sweepForwardRows(csr, 0, nA)
+		s.sweepForward(csr, active, wpa)
 		s.Iterations = c
 		snapshot(c, false)
-		if s.readjustRows(csr, 0, nA) == 0 {
+		if s.readjust(csr, active, wpa) == 0 {
 			return s, tr, nil
 		}
 		snapshot(c, true)

@@ -221,13 +221,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
+	// Subscribe before announcing the stream: an event published after
+	// the client reads the comment line below is then always delivered.
+	sub := s.events.subscribe()
+	defer s.events.unsubscribe(sub)
 	// An immediate comment line both confirms the subscription to the
 	// client and forces the 200 and headers onto the wire.
 	fmt.Fprintf(w, ": stream open %s\n\n", s.now().UTC().Format(time.RFC3339))
 	flusher.Flush()
-
-	sub := s.events.subscribe()
-	defer s.events.unsubscribe(sub)
 	for {
 		select {
 		case <-r.Context().Done():

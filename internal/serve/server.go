@@ -6,10 +6,6 @@
 //   - Intake: POST /v1/jobs accepts one job (inline .cg source) or a
 //     JSONL batch; GET /v1/jobs/{id} returns status and, once scheduled,
 //     the offset table and stats. Results are held in a bounded store.
-//     Accepted jobs flow through a staged pipeline — decode →
-//     fingerprint → schedule → render — with bounded channels between
-//     stages, so hashing and rendering overlap the engine's scheduling
-//     work (see pipeline.go).
 //   - Admission: a bounded queue between intake and the workers. When it
 //     is full the request is shed with 429 + Retry-After instead of
 //     queuing unboundedly — backpressure is the contract, not latency
@@ -57,8 +53,11 @@ type Options struct {
 	// covers intake and execution.
 	Engine *engine.Engine
 	// Workers is the initial number of serving workers pulling from the
-	// admission queue (each runs one engine.Schedule at a time). <= 0
-	// selects Engine.Workers(). Hot-reloadable via /v1/admin/config.
+	// admission queue (each runs one job at a time: engine.Schedule,
+	// then rendering and publishing its result). <= 0 selects half of
+	// Engine.Workers(), rounded up: most of a served job's CPU is spent
+	// in the HTTP handlers (decode, JSON, SSE), which need the other
+	// CPUs. Hot-reloadable via /v1/admin/config.
 	Workers int
 	// QueueDepth bounds the admission queue; a full queue sheds with
 	// 429. <= 0 selects DefaultQueueDepth.
@@ -124,8 +123,7 @@ const (
 	MetricShedRateLimited = "serve.shed.rate_limited"
 	MetricShedQuota       = "serve.shed.quota"
 	// MetricQueueDepth gauges jobs admitted but not yet claimed by a
-	// schedule worker: the population of the staged intake pipeline
-	// ahead of the workers (fingerprint stage plus admission queue).
+	// worker (the admission queue's population).
 	MetricQueueDepth = "serve.queue.depth"
 	// MetricWorkers gauges the current worker-pool size.
 	MetricWorkers = "serve.workers"
@@ -256,8 +254,8 @@ type jobRecord struct {
 	// Zero means the record still shares the engine's immutable cache
 	// entry; the first patch forks it (see handleJobPatch).
 	patches int
-	// preOffsets is the irredundant offset table pre-rendered by the
-	// render stage (see finalizeJob); the default GET view serves it
+	// preOffsets is the irredundant offset table pre-rendered when the
+	// job finished (see finalizeJob); the default GET view serves it
 	// without re-walking the schedule. Guarded by storeMu; a PATCH
 	// clears it because the table no longer matches the edited graph.
 	preOffsets string
@@ -292,29 +290,18 @@ type Server struct {
 	// events fans the job lifecycle out to /v1/events subscribers.
 	events *eventHub
 
-	// Staged intake pipeline (see pipeline.go): submit sends to fpq, the
-	// fingerprint stage forwards to queue, schedule workers send results
-	// to renderq, render workers publish terminal state. intakeMu is
-	// held shared by enqueuers and exclusively by Drain: a send can
-	// never race the close. pipelined counts jobs admitted but not yet
-	// claimed by a schedule worker (it spans fpq, the fingerprint stage,
-	// and queue) and is what admission reserves capacity against.
-	intakeMu  sync.RWMutex
-	draining  atomic.Bool
-	fpq       chan *jobRecord
-	queue     chan *jobRecord
-	renderq   chan renderMsg
-	pipelined atomic.Int64
+	// Admission queue. intakeMu is held shared by enqueuers and
+	// exclusively by Drain: a send can never race the close.
+	intakeMu sync.RWMutex
+	draining atomic.Bool
+	queue    chan *jobRecord
 
-	// Worker pool: resizable (quit tokens shrink it), wg tracks schedule
-	// workers for drain; fpWG and renderWG track the fixed fingerprint
-	// and render stages.
-	poolMu   sync.Mutex
-	workers  int
-	quit     chan struct{}
-	wg       sync.WaitGroup
-	fpWG     sync.WaitGroup
-	renderWG sync.WaitGroup
+	// Worker pool: resizable (quit tokens shrink it), wg tracks workers
+	// for drain.
+	poolMu  sync.Mutex
+	workers int
+	quit    chan struct{}
+	wg      sync.WaitGroup
 
 	// Job store: every accepted job from admission to (bounded)
 	// retention after completion.
@@ -340,7 +327,7 @@ func New(opts Options) (*Server, error) {
 		return nil, fmt.Errorf("serve: Options.Engine is required")
 	}
 	if opts.Workers <= 0 {
-		opts.Workers = opts.Engine.Workers()
+		opts.Workers = (opts.Engine.Workers() + 1) / 2
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = DefaultQueueDepth
@@ -384,9 +371,7 @@ func New(opts Options) (*Server, error) {
 		spansDropped:  reg.Gauge(MetricSpansDropped),
 		queueCap:      opts.QueueDepth,
 		resultCap:     opts.ResultCapacity,
-		fpq:           make(chan *jobRecord, opts.QueueDepth),
 		queue:         make(chan *jobRecord, opts.QueueDepth),
-		renderq:       make(chan renderMsg, opts.QueueDepth),
 		quit:          make(chan struct{}),
 		store:         make(map[string]*jobRecord),
 		drained:       make(chan struct{}),
@@ -395,12 +380,6 @@ func New(opts Options) (*Server, error) {
 		s.slo = newSLOTracker(*opts.SLO, reg)
 	}
 	s.events = newEventHub(func(n uint64) { s.eventsDropped.Add(n) })
-	s.fpWG.Add(1)
-	go s.fpStage()
-	for i := 0; i < renderWorkerCount(opts.Workers); i++ {
-		s.renderWG.Add(1)
-		go s.renderWorker()
-	}
 	s.resizePool(opts.Workers)
 	if s.runtime != nil {
 		interval := opts.RuntimeInterval
@@ -440,10 +419,9 @@ func (s *Server) Workers() int {
 }
 
 // QueueDepth returns the number of admitted jobs not yet claimed by a
-// schedule worker (in the fingerprint stage or the admission queue),
-// and the pipeline's capacity.
+// worker, and the queue's capacity.
 func (s *Server) QueueDepth() (depth, capacity int) {
-	return int(s.pipelined.Load()), s.queueCap
+	return len(s.queue), s.queueCap
 }
 
 // resizePool grows or shrinks the worker pool to n (n >= 1). Shrinking
@@ -486,19 +464,16 @@ func (s *Server) worker() {
 			if !ok {
 				return
 			}
-			s.pipelined.Add(-1)
 			s.queueDepth.Add(-1)
 			s.runJob(rec)
 		}
 	}
 }
 
-// runJob executes one admitted job on a schedule worker and hands the
-// result to the render stage, which publishes the terminal state
-// (finalizeJob in pipeline.go). Jobs run with context.Background()
-// deliberately: an accepted job is a promise, and the per-job timeout
-// (engine Options or JobRequest.TimeoutMS) bounds how long the promise
-// can take.
+// runJob executes one admitted job to its terminal state. Jobs run with
+// context.Background() deliberately: an accepted job is a promise, and
+// the per-job timeout (engine Options or JobRequest.TimeoutMS) bounds
+// how long the promise can take.
 func (s *Server) runJob(rec *jobRecord) {
 	if s.testJobGate != nil {
 		<-s.testJobGate
@@ -522,11 +497,73 @@ func (s *Server) runJob(rec *jobRecord) {
 		Design:    rec.design,
 	})
 
-	// Hand off to the render stage: terminal-state publication, offset
-	// pre-rendering, and post-job bookkeeping run there, so this worker
-	// is free to claim the next job. The send can block only on render
-	// backpressure, never on anything upstream, so there is no cycle.
-	s.renderq <- renderMsg{rec: rec, res: res}
+	s.finalizeJob(rec, res)
+}
+
+// finalizeJob pre-renders the offset table, publishes the terminal
+// state, and fires the post-job bookkeeping (latency, limiter, SLO,
+// events).
+func (s *Server) finalizeJob(rec *jobRecord, res engine.Result) {
+	// Pre-render the default GET view (irredundant offsets) outside all
+	// locks: the record is not yet terminal, so no PATCH can be mutating
+	// its graph (PATCH requires StatusDone), and cache-shared schedules
+	// are immutable by contract.
+	var pre string
+	if res.Err == nil && res.Schedule != nil {
+		var b strings.Builder
+		if err := cgio.WriteOffsets(&b, res.Schedule, relsched.IrredundantAnchors); err == nil {
+			pre = b.String()
+		}
+	}
+
+	// Bookkeeping comes before the record turns terminal, so a client
+	// that sees the job finished (GET or event) also finds its latency
+	// recorded, its tenant slot released and its outcome counted.
+	kind := errKind(res.Err)
+	latency := s.now().Sub(rec.acceptedAt)
+	if spanID := uint64(rec.reqSpan.ID()); spanID == 0 && rec.requestID == "" && res.FlightBundle == "" {
+		s.jobLatency.Observe(latency)
+	} else {
+		// The exemplar's span is the request root — the top of the tree
+		// the traceparent named — so a slow latency bucket resolves
+		// straight to the whole request's trace and flight bundle.
+		s.jobLatency.ObserveExemplar(latency, obs.Exemplar{
+			SpanID:     uint64(rec.reqSpan.ID()),
+			RequestID:  rec.requestID,
+			FlightPath: res.FlightBundle,
+		})
+	}
+	s.limiter.release(rec.tenant)
+	if reason, fire := s.slo.observe(s.now(), latency, res.Err != nil); fire {
+		// The slow part (registry snapshot, bundle write, profile start)
+		// runs off the worker goroutine; cooldown guarantees no pile-up.
+		go s.fireSLOBurn(reason)
+	}
+	status, ev := StatusDone, s.event(EventDone, rec)
+	if res.Err != nil {
+		status, ev = StatusFailed, s.event(EventFailed, rec)
+		ev.Reason = kind
+	}
+	s.tenantJobs.With(rec.tenant, string(status)).Inc()
+
+	s.storeMu.Lock()
+	rec.result = res
+	rec.status = status
+	rec.errKind = kind
+	rec.preOffsets = pre
+	s.finished = append(s.finished, rec.id)
+	s.evictLocked()
+	s.storeMu.Unlock()
+
+	s.events.publish(ev)
+	if res.FlightBundle != "" {
+		ev := s.event(EventFlight, rec)
+		ev.Flight = res.FlightBundle
+		s.events.publish(ev)
+	}
+	if s.log.Enabled(logx.LevelDebug) {
+		s.log.Debug("job finalized", logx.Str("job", rec.id), logx.Str("status", string(status)))
+	}
 }
 
 // fireSLOBurn is the burn-rate trigger action: capture CPU+heap
@@ -637,12 +674,9 @@ func (s *Server) submit(tenant string, jobs []parsedJob, meta *reqMeta) ([]*jobR
 		}
 	}
 	// Capacity check under storeMu: every enqueuer serializes here and
-	// workers only ever shrink the pipeline, so the reservation holds
-	// and the sends below cannot block — pipelined never exceeds
-	// queueCap, which also bounds every inter-stage channel, so the
-	// fingerprint stage's forward into queue cannot block either.
-	depth := int(s.pipelined.Load())
-	if depth+n > s.queueCap {
+	// workers only ever shrink the queue, so the reservation holds and
+	// the sends below cannot block.
+	if depth := len(s.queue); depth+n > s.queueCap {
 		s.storeMu.Unlock()
 		s.releaseN(tenant, n)
 		s.shed.Add(uint64(n))
@@ -685,9 +719,8 @@ func (s *Server) submit(tenant string, jobs []parsedJob, meta *reqMeta) ([]*jobR
 		s.store[id] = rec
 		records[i] = rec
 	}
-	s.pipelined.Add(int64(n))
 	for _, rec := range records {
-		s.fpq <- rec
+		s.queue <- rec
 	}
 	s.storeMu.Unlock()
 
@@ -728,12 +761,10 @@ func (s *Server) releaseN(tenant string, n int) {
 //  1. flip draining — /readyz answers 503 and POST /v1/jobs answers 503
 //     from this moment;
 //  2. wait out submitters already past the flag (the intake lock), then
-//     close the pipeline's intake channel;
-//  3. let the stages drain in order — the fingerprint stage forwards
-//     its backlog and closes the admission queue, the schedule workers
-//     finish every admitted job, and the render workers publish every
-//     terminal state — so every 202 the server ever returned resolves
-//     to exactly one terminal result.
+//     close the admission queue;
+//  3. wait for the workers to finish every admitted job — queued jobs
+//     are executed, not dropped, so every 202 the server ever returned
+//     resolves to exactly one terminal result.
 //
 // Drain returns nil once the pool is idle, or ctx.Err() if the deadline
 // expires first (jobs may then still be running; the caller decides
@@ -743,21 +774,15 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.drainOnce.Do(func() {
 		s.draining.Store(true)
 		s.intakeMu.Lock()
-		close(s.fpq)
+		close(s.queue)
 		s.intakeMu.Unlock()
 		if s.log.Enabled(logx.LevelInfo) {
-			s.log.Info("drain started", logx.Int("queued", s.pipelined.Load()))
+			s.log.Info("drain started", logx.Int("queued", int64(len(s.queue))))
 		}
 		go func() {
-			// Stage-ordered shutdown: fpStage forwards its backlog and
-			// closes queue; the schedule workers finish and exit; closing
-			// renderq then lets the render workers publish the last
-			// terminal states before the event stream closes — the stream
-			// closes complete, after the last done/failed, never before.
-			s.fpWG.Wait()
 			s.wg.Wait()
-			close(s.renderq)
-			s.renderWG.Wait()
+			// Every terminal event is published by now: the stream closes
+			// complete, after the last done/failed, never before.
 			s.events.close()
 			close(s.drained)
 		}()
@@ -773,8 +798,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Drained reports drain completion (closed when the last pipeline
-// stage exits).
+// Drained reports drain completion (closed when the last worker exits).
 func (s *Server) Drained() <-chan struct{} { return s.drained }
 
 // job looks up a record by ID.
@@ -791,8 +815,9 @@ func (s *Server) job(id string) (*jobRecord, bool) {
 // but under the record's renderMu, because a concurrent PATCH mutates
 // the record's graph in place and the renderer walks it. The default
 // mode (irredundant anchors) usually skips the walk entirely: the
-// render stage pre-rendered that table into preOffsets, and the string
-// snapshot stays valid even as the graph changes underneath.
+// worker that finished the job pre-rendered that table into
+// preOffsets, and the string snapshot stays valid even as the graph
+// changes underneath.
 func (s *Server) view(rec *jobRecord, mode relsched.AnchorMode, withOffsets bool) JobView {
 	if withOffsets {
 		rec.renderMu.Lock()
@@ -911,7 +936,7 @@ func (s *Server) Status() StatusView {
 		Ready:         s.Ready(),
 		Draining:      s.draining.Load(),
 		Workers:       s.Workers(),
-		QueueDepth:    int(s.pipelined.Load()),
+		QueueDepth:    len(s.queue),
 		QueueCapacity: s.queueCap,
 		CacheCapacity: s.eng.CacheCapacity(),
 		RatePerTenant: rate,

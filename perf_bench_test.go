@@ -1,8 +1,6 @@
 package repro
 
 import (
-	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/cg"
@@ -138,59 +136,6 @@ func analyzeAll(tb testing.TB, graphs []*cg.Graph) []*relsched.AnchorInfo {
 		infos[i] = info
 	}
 	return infos
-}
-
-// largeGraph generates a constraint graph big enough to clear the
-// anchor-parallel fan-out threshold (anchors × (vertices+edges) work).
-func largeGraph(tb testing.TB) *cg.Graph {
-	tb.Helper()
-	cfg := randgraph.Config{
-		N: 3000, AnchorProb: 0.04, MaxDelay: 6, MaxFanIn: 3,
-		MinConstraints: 40, MaxConstraints: 40, MaxSlack: 5,
-	}
-	return randgraph.Generate(cfg, rand.New(rand.NewSource(7)))
-}
-
-// BenchmarkAnalyzeParallel measures the anchor-sharded analysis on a
-// large random graph, sequential vs all-CPU parallelism.
-func BenchmarkAnalyzeParallel(b *testing.B) {
-	g := largeGraph(b)
-	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(parLabel(par), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := relsched.AnalyzeOpts(g, relsched.Options{Parallelism: par}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkScheduleColdParallel measures the anchor-sharded relaxation
-// sweeps on a large random graph, sequential vs all-CPU parallelism.
-func BenchmarkScheduleColdParallel(b *testing.B) {
-	g := largeGraph(b)
-	info, err := relsched.Analyze(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(parLabel(par), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := relsched.ComputeFromAnalysisOpts(info, nil, relsched.Options{Parallelism: par}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func parLabel(par int) string {
-	if par == 1 {
-		return "seq"
-	}
-	return "par"
 }
 
 // BenchmarkDeltaEdit measures one incremental edit — adding and removing
