@@ -386,10 +386,10 @@ func (g *Graph) removeEdgeAt(i int) int {
 }
 
 // applyInsertOp appends a new operation vertex and serializes it between
-// pred and succ. The new vertex lands at the end of the topological
-// order; the v→succ edge then triggers the usual Pearce–Kelly repair,
-// which costs the forward cone of succ — vertex insertion is the one
-// edit documented as heavier than its local neighbourhood.
+// pred and succ. The new vertex takes the rank right after pred in the
+// topological order — an O(V) shift of the rank array, no graph
+// traversal — so the pred→v edge never needs repair, and the v→succ edge
+// needs the usual Pearce–Kelly repair only when succ ranks before pred.
 func (g *Graph) applyInsertOp(ed Edit) (Delta, error) {
 	if err := g.checkEndpoints(ed.Pred, ed.Succ); err != nil {
 		return Delta{}, err
@@ -402,8 +402,14 @@ func (g *Graph) applyInsertOp(ed Edit) (Delta, error) {
 		}
 	}
 	id := g.addVertex(ed.Name, ed.Delay)
-	g.topo = append(g.topo, id)
-	g.topoPos = append(g.topoPos, int32(len(g.topo)-1))
+	r := int(g.topoPos[ed.Pred]) + 1
+	g.topo = append(g.topo, None)
+	copy(g.topo[r+1:], g.topo[r:])
+	g.topo[r] = id
+	g.topoPos = append(g.topoPos, 0)
+	for k := r; k < len(g.topo); k++ {
+		g.topoPos[g.topo[k]] = int32(k)
+	}
 	pd := g.vertices[ed.Pred].Delay
 	pe := Edge{From: ed.Pred, To: id, Kind: Sequencing, Weight: pd.Min(), Unbounded: !pd.Bounded()}
 	pi := g.addEdge(pe)
@@ -411,11 +417,7 @@ func (g *Graph) applyInsertOp(ed Edit) (Delta, error) {
 	if _, err := g.insertForwardEdge(se); err != nil {
 		// Unreachable given the pre-check, but keep the graph whole.
 		g.removeEdgeAt(pi)
-		g.topo = g.topo[:len(g.topo)-1]
-		g.topoPos = g.topoPos[:len(g.topoPos)-1]
-		g.vertices = g.vertices[:id]
-		g.out = g.out[:id]
-		g.in = g.in[:id]
+		g.dropVertex(id)
 		return Delta{}, err
 	}
 	if !ed.Delay.Bounded() && g.anchors != nil {
@@ -423,6 +425,21 @@ func (g *Graph) applyInsertOp(ed Edit) (Delta, error) {
 	}
 	g.editBump()
 	return Delta{Op: ed.Op, Edge: pe, EdgeIndex: pi, Moved: -1, Vertex: id, Gen: g.generation}, nil
+}
+
+// dropVertex removes the last vertex, which must have no edges left, and
+// closes its slot in the topological order.
+func (g *Graph) dropVertex(id VertexID) {
+	r := int(g.topoPos[id])
+	copy(g.topo[r:], g.topo[r+1:])
+	g.topo = g.topo[:len(g.topo)-1]
+	for k := r; k < len(g.topo); k++ {
+		g.topoPos[g.topo[k]] = int32(k)
+	}
+	g.topoPos = g.topoPos[:len(g.topoPos)-1]
+	g.vertices = g.vertices[:id]
+	g.out = g.out[:id]
+	g.in = g.in[:id]
 }
 
 // RevertDelta undoes the graph's most recent edit. Deltas revert in
@@ -473,16 +490,7 @@ func (g *Graph) RevertDelta(d Delta) error {
 		if !g.vertices[id].Delay.Bounded() && g.anchors != nil {
 			g.anchors = g.anchors[:len(g.anchors)-1]
 		}
-		r := int(g.topoPos[id])
-		copy(g.topo[r:], g.topo[r+1:])
-		g.topo = g.topo[:len(g.topo)-1]
-		for k := r; k < len(g.topo); k++ {
-			g.topoPos[g.topo[k]] = int32(k)
-		}
-		g.topoPos = g.topoPos[:len(g.topoPos)-1]
-		g.vertices = g.vertices[:id]
-		g.out = g.out[:id]
-		g.in = g.in[:id]
+		g.dropVertex(id)
 
 	default:
 		return fmt.Errorf("cg: unknown delta op %v", d.Op)

@@ -86,17 +86,6 @@ func (g *Graph) ReachableForward(v VertexID) []bool {
 	return seen
 }
 
-// ReachableForwardInto is ReachableForward into caller-provided storage:
-// seen (length N()) is cleared and then filled. Exists so analysis layers
-// can carve per-anchor rows from one flat arena instead of allocating a
-// slice per query.
-func (g *Graph) ReachableForwardInto(v VertexID, seen []bool) {
-	for i := range seen {
-		seen[i] = false
-	}
-	g.floodForward(v, seen)
-}
-
 // floodForward marks every vertex forward-reachable from v (v included)
 // in seen, by an explicit-stack depth-first search — recursion depth on
 // deep chain graphs would otherwise scale with |V|. Frozen graphs walk the

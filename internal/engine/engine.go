@@ -859,6 +859,8 @@ func (e *Engine) compute(ctx context.Context, job Job, parent *trace.Span, jc *j
 		jc.observe(m.stageSchedule, d)
 		jc.stage("schedule", int64(d))
 	}
+	// The schedule's analysis adds the irredundant sets the offsets define.
+	entry.info = sched.Info
 	entry.sched = sched
 	return verdict()
 }

@@ -65,8 +65,8 @@ func TestScheduleMatchesCompute(t *testing.T) {
 			t.Errorf("mode %v: engine offsets differ from relsched.Compute", mode)
 		}
 	}
-	if res.Info == nil || len(res.Info.Longest) != len(res.Info.List) {
-		t.Error("result is missing the cached longest-path matrices")
+	if res.Info == nil || res.Info != res.Schedule.Info || len(res.Info.Irredundant) != g.N() {
+		t.Error("result is missing the scheduled analysis (irredundant sets)")
 	}
 }
 

@@ -28,39 +28,11 @@ type AnchorInfo struct {
 	Full []bitset.Set
 	// Relevant[v] is R(v). Populated by Analyze.
 	Relevant []bitset.Set
-	// Irredundant[v] is IR(v). Populated by Analyze.
+	// Irredundant[v] is IR(v). Definition 11 compares longest paths, and
+	// by Theorem 3 those are the minimum offsets, so the sets are derived
+	// from the σ table once it exists: populated on every scheduled
+	// analysis (Schedule.Info), nil on the result of Analyze alone.
 	Irredundant []bitset.Set
-	// Reach[ai][v] reports whether v is reachable from anchor index ai in
-	// the full graph — the domain over which offsets σ_a(·) exist. By
-	// Theorem 3 the minimum offsets are the longest paths in the full
-	// constraint graph, so the offset tables close over full-graph
-	// reachability (a superset of Definition 3's forward-successor set
-	// V_a; the extra entries are internal bookkeeping that keeps the
-	// tables compositional across backward edges).
-	Reach [][]bool
-	// Longest[ai][v] is the longest-path distance length(a, v) from anchor
-	// index ai to v in the full graph with unbounded weights at 0
-	// (cg.Unreachable when no path exists) — the matrices behind the
-	// Definition 11 domination test. Populated by Analyze and retained so
-	// memoization layers (internal/engine) can reuse the Bellman–Ford work
-	// across repeated schedules of the same graph.
-	Longest [][]int
-	// FwdReach[ai][v] reports whether v is forward-reachable from anchor
-	// index ai (the anchor included) — Definition 3's successor set V_a.
-	// Computed once per analysis so every schedule of the graph (including
-	// the incremental WithMax/WithMinConstraint probes during conflict
-	// search) seeds its offset rows without re-walking the graph.
-	FwdReach [][]bool
-}
-
-// fwdReach returns the forward-reachability row of anchor index ai,
-// computing it on the fly for hand-built AnchorInfo values predating
-// FwdReach (nil entries).
-func (ai *AnchorInfo) fwdReach(i int) []bool {
-	if i < len(ai.FwdReach) && ai.FwdReach[i] != nil {
-		return ai.FwdReach[i]
-	}
-	return ai.G.ReachableForward(ai.List[i])
 }
 
 // NumAnchors returns |A|, the number of anchors (Definition 2).
@@ -206,52 +178,68 @@ func (ai *AnchorInfo) relevantAnchors() {
 // starts with one of its bounded (minimum-constraint) out-edges — a path
 // shape the relevant-anchor separation argument does not cover.
 //
-// longest[ai] must hold the longest-path distances from anchor ai to all
-// vertices (cg.Unreachable when no path exists).
-func (ai *AnchorInfo) irredundantAnchors(longest [][]int) {
-	g := ai.G
-	ai.Irredundant = bitset.NewArena(g.N(), len(ai.List))
+// cols.col(v)[ai] must hold length(a, v) for anchor index ai
+// (cg.Unreachable when no path exists) — the σ columns of a schedule
+// (Theorem 3).
+func (ai *AnchorInfo) irredundantAnchors(cols sigmaTable) {
+	ai.Irredundant = bitset.NewArena(cols.n, len(ai.List))
 	full := make([]int, 0, len(ai.List))
-	for v := 0; v < g.N(); v++ {
-		full = ai.irredundantAt(v, longest, ai.Irredundant[v], full)
+	for v := 0; v < cols.n; v++ {
+		full = ai.irredundantAt(v, cols, ai.Irredundant[v], full)
 	}
+}
+
+// withIrredundant returns a copy of the analysis completed with the
+// irredundant sets derived from the σ columns. The receiver is left as it
+// was, so one analysis can back any number of schedules concurrently.
+func (ai *AnchorInfo) withIrredundant(cols sigmaTable) *AnchorInfo {
+	out := *ai
+	out.irredundantAnchors(cols)
+	return &out
 }
 
 // irredundantAt runs the Definition 11 domination test at one vertex,
 // filling ir with IR(v). full is a reusable scratch buffer, returned for
 // recycling. Factored out of irredundantAnchors so the delta path
 // (delta.go) can re-derive IR(v) for just the vertices an edit touched.
-func (ai *AnchorInfo) irredundantAt(v int, longest [][]int, ir bitset.Set, full []int) []int {
+func (ai *AnchorInfo) irredundantAt(v int, cols sigmaTable, ir bitset.Set, full []int) []int {
 	ir.CopyFrom(ai.Full[v])
 	full = ai.Full[v].AppendTo(full[:0])
-	for _, qi := range full {
-		q := ai.List[qi]
-		if cg.VertexID(v) == q {
-			continue
-		}
-		for _, xi := range full {
-			if xi == qi || !ai.Full[q].Has(xi) {
-				continue
-			}
-			lxv := longest[xi][v]
-			lxq := longest[xi][q]
-			lqv := longest[qi][v]
-			if lxq == cg.Unreachable || lqv == cg.Unreachable {
-				continue
-			}
-			if lxv <= lxq+lqv {
-				ir.Remove(xi)
-			}
-		}
-	}
+	ai.dropDominated(v, cols, full, full, ir)
 	return full
 }
 
-// Analyze computes the anchor, relevant-anchor and irredundant-anchor sets
-// of a frozen constraint graph — the paper's findAnchorSet, relevantAnchor
-// and minimumAnchor algorithms (§IV). The graph must be feasible: longest-path
-// computations diverge on positive cycles, so Analyze returns
-// ErrUnfeasible in that case.
+// dropDominated removes from set each anchor index of xs that some
+// anchor index of qs dominates at v, both lists drawn from A(v)
+// (Definition 11): q is not v itself, x ∈ A(q), and
+// length(x, v) ≤ length(x, q) + length(q, v), with the lengths read from
+// the σ columns. Anchors already missing from set are not tested.
+func (ai *AnchorInfo) dropDominated(v int, cols sigmaTable, xs, qs []int, set bitset.Set) {
+	lv := cols.col(v)
+	for _, qi := range qs {
+		q := ai.List[qi]
+		lqv := lv[qi]
+		if int(q) == v || lqv == cg.Unreachable {
+			continue
+		}
+		lq, fq := cols.col(int(q)), ai.Full[q]
+		for _, xi := range xs {
+			if xi == qi || !set.Has(xi) || !fq.Has(xi) {
+				continue
+			}
+			if lxq := lq[xi]; lxq != cg.Unreachable && lv[xi] <= lxq+lqv {
+				set.Remove(xi)
+			}
+		}
+	}
+}
+
+// Analyze computes the anchor and relevant-anchor sets of a frozen
+// constraint graph — the paper's findAnchorSet and relevantAnchor
+// algorithms (§IV). The irredundant sets (minimumAnchor) compare offsets,
+// so scheduling completes them (see AnchorInfo.Irredundant). The graph
+// must be feasible: offsets diverge on positive cycles, so Analyze
+// returns ErrUnfeasible in that case.
 func Analyze(g *cg.Graph) (*AnchorInfo, error) {
 	if err := g.Freeze(); err != nil {
 		return nil, err
@@ -264,52 +252,30 @@ func Analyze(g *cg.Graph) (*AnchorInfo, error) {
 
 // AnalyzeFromSets completes an anchor-set analysis started by
 // CheckWellPosedAnalyzed: ai must be that call's result for the same
-// graph. It runs the relevant-anchor, longest-path, reachability, and
-// redundancy-removal passes on top of the already-computed full anchor
-// sets, producing an AnchorInfo identical to Analyze(g) — without
-// repeating the anchor-set pass, which dominates the well-posedness
-// check and the analysis alike. The pair exists so a pipeline that both
-// *checks* well-posedness and *analyzes* (the engine's hot path)
-// computes the anchor sets once instead of twice; Compute keeps the
-// paper's two-pass structure.
+// graph. It runs the relevant-anchor pass on top of the already-computed
+// full anchor sets, producing an AnchorInfo identical to Analyze(g) —
+// without repeating the anchor-set pass, which dominates the
+// well-posedness check and the analysis alike. The pair exists so a
+// pipeline that both *checks* well-posedness and *analyzes* (the
+// engine's hot path) computes the anchor sets once instead of twice;
+// Compute keeps the paper's two-pass structure.
 func AnalyzeFromSets(g *cg.Graph, ai *AnchorInfo) (*AnchorInfo, error) {
 	ai.relevantAnchors()
-	nA := len(ai.List)
-	n := g.N()
-	ai.Longest = make([][]int, nA)
-	ai.Reach = make([][]bool, nA)
-	ai.FwdReach = make([][]bool, nA)
-	// Both boolean tables are carved from flat arenas — two allocations
-	// for 2·nA rows.
-	reachArena := make([]bool, nA*n)
-	fwdArena := make([]bool, nA*n)
-	for i, a := range ai.List {
-		d, ok := g.LongestFrom(a)
-		if !ok {
-			return nil, ErrUnfeasible
-		}
-		ai.Longest[i] = d
-		reach := reachArena[i*n : (i+1)*n : (i+1)*n]
-		for v := range d {
-			reach[v] = d[v] != cg.Unreachable
-		}
-		ai.Reach[i] = reach
-		fwd := fwdArena[i*n : (i+1)*n : (i+1)*n]
-		g.ReachableForwardInto(a, fwd)
-		ai.FwdReach[i] = fwd
-	}
-	ai.irredundantAnchors(ai.Longest)
 	return ai, nil
 }
 
 // TotalSizes returns the summed cardinalities of the full, relevant and
 // irredundant anchor sets over all vertices — the quantities reported in
-// Table III of the paper.
+// Table III of the paper. The sums run over the analysis's own vertices,
+// which a newer schedule in a delta chain may have outgrown; irredundant
+// is 0 until the analysis is scheduled.
 func (ai *AnchorInfo) TotalSizes() (full, relevant, irredundant int) {
-	for v := 0; v < ai.G.N(); v++ {
+	for v := range ai.Full {
 		full += ai.Full[v].Count()
 		relevant += ai.Relevant[v].Count()
-		irredundant += ai.Irredundant[v].Count()
+		if ai.Irredundant != nil {
+			irredundant += ai.Irredundant[v].Count()
+		}
 	}
 	return
 }
@@ -318,5 +284,5 @@ func (ai *AnchorInfo) TotalSizes() (full, relevant, irredundant int) {
 func (ai *AnchorInfo) String() string {
 	f, r, ir := ai.TotalSizes()
 	return fmt.Sprintf("anchors=%d |A(v)|=%d |R(v)|=%d |IR(v)|=%d over %d vertices",
-		len(ai.List), f, r, ir, ai.G.N())
+		len(ai.List), f, r, ir, len(ai.Full))
 }

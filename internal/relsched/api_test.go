@@ -8,13 +8,15 @@ import (
 	"repro/internal/relsched"
 )
 
-// TestAnalysisAccessors exercises the small reporting API.
+// TestAnalysisAccessors exercises the small reporting API on a scheduled
+// analysis: the irredundant sets are derived from the offsets.
 func TestAnalysisAccessors(t *testing.T) {
 	g := paperex.Fig2()
-	info, err := relsched.Analyze(g)
+	s, err := relsched.Compute(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	info := s.Info
 	if info.NumAnchors() != 2 {
 		t.Errorf("NumAnchors = %d, want 2", info.NumAnchors())
 	}

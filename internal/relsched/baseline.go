@@ -59,20 +59,22 @@ func ClassicalSchedule(g *cg.Graph) ([]int, error) {
 // baseline.
 func DecompositionSchedule(info *AnchorInfo) (*Schedule, error) {
 	g := info.G
-	nA := len(info.List)
-	s := &Schedule{G: g, Info: info, nV: g.N()}
-	s.off = make([]int, nA*g.N())
-	s.bindRows(nA)
+	nA, nV := len(info.List), g.N()
+	off := make([]int, nA*nV)
 	for ai, a := range info.List {
 		dist, ok := g.LongestFrom(a)
 		if !ok {
 			return nil, ErrInconsistent
 		}
 		// cg.Unreachable and NoOffset are the same sentinel, so the
-		// distance vector is the offset row verbatim.
-		copy(s.row(ai), dist)
+		// distance vector is the anchor's offsets verbatim.
+		for v, d := range dist {
+			off[v*nA+ai] = d
+		}
 	}
-	s.Iterations = nA // one longest-path solve per anchor
+	// One longest-path solve per anchor.
+	s := &Schedule{G: g, Iterations: nA, cols: bindCols(off, nA, nV), gen: g.Generation()}
+	s.Info = info.withIrredundant(s.cols)
 	return s, nil
 }
 
@@ -81,16 +83,19 @@ func DecompositionSchedule(info *AnchorInfo) (*Schedule, error) {
 // sets. Schedules must be
 // over the same graph and anchor analysis.
 func EqualOffsets(a, b *Schedule) bool {
-	if a.G != b.G || a.nV != b.nV || len(a.rows) != len(b.rows) {
+	if a.G != b.G || a.cols.n != b.cols.n {
 		return false
 	}
-	for ai := range a.rows {
-		ra, rb := a.rows[ai], b.rows[ai]
-		if len(ra) > 0 && len(rb) > 0 && &ra[0] == &rb[0] {
-			continue // copy-on-write chains share unchanged rows
+	for v := 0; v < a.cols.n; v++ {
+		ca, cb := a.cols.col(v), b.cols.col(v)
+		if len(ca) != len(cb) {
+			return false
 		}
-		for v := range ra {
-			if ra[v] != rb[v] {
+		if len(ca) > 0 && &ca[0] == &cb[0] {
+			continue // copy-on-write chains share unchanged columns
+		}
+		for ai := range ca {
+			if ca[ai] != cb[ai] {
 				return false
 			}
 		}

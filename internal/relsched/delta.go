@@ -16,21 +16,23 @@ import (
 //   - additions warm-start from the base offsets, which Lemma 8 proves are
 //     valid lower bounds (offsets only increase as constraints are added),
 //     and relax a raise-only worklist outward from the edited edge —
-//     touching only the anchors whose reachability cone contains the edit
-//     and only the vertices whose offsets actually move;
+//     touching only the anchors whose σ is defined at the edit's tail and
+//     only the vertices whose offsets actually move;
 //   - removals, where offsets may decrease and Lemma 8 does not apply,
-//     re-derive the affected anchors' rows from scratch — still restricted
-//     to the anchors that could reach the removed edge;
-//   - vertex insertion falls back to a cold rebuild (the one documented
-//     heavyweight edit), and inserting an unbounded-delay vertex is
-//     rejected outright: it would change the anchor set, which the delta
-//     contract pins (AnchorDriftError).
+//     re-derive the affected anchors' offsets from scratch — still
+//     restricted to the cone of vertices the removed edge could reach;
+//   - a bounded operation x spliced in as pred→x→succ grows every
+//     per-vertex table by one entry for x, taken from pred (x's only
+//     in-edge is pred→x, so every path to x ends there — Theorem 3), and
+//     then re-schedules the x→succ edge as an addition. Inserting an
+//     unbounded-delay vertex is rejected outright: it would change the
+//     anchor set, which the delta contract pins (AnchorDriftError).
 //
 // Apply is transactional: on any failure the graph edits are reverted in
 // LIFO order and the base schedule remains the graph's valid schedule.
-// Apply is also copy-on-write: it never mutates the base schedule's arena
-// or analysis rows, so readers of the base may keep calling Offset
-// concurrently with an Apply (the graph itself is mutated — see
+// Apply is also copy-on-write: it never mutates the base schedule's σ
+// columns or analysis sets, so readers of the base may keep calling
+// Offset concurrently with an Apply (the graph itself is mutated — see
 // docs/INCREMENTAL.md for the exact reader contract).
 
 // ErrStaleSchedule reports Apply (or Fork) on a schedule that no longer
@@ -41,17 +43,16 @@ import (
 var ErrStaleSchedule = errors.New("relsched: schedule is stale (the graph has newer edits; apply deltas to the newest schedule)")
 
 // AnchorDriftError reports a delta edit that would change the graph's
-// anchor set (Definition 2): inserting an unbounded-delay vertex, or — as
-// a defense-in-depth re-check after a cold rebuild — any divergence
-// between the base and rebuilt anchor lists. The delta contract pins the
+// anchor set (Definition 2): inserting an unbounded-delay vertex. The
+// delta contract pins the
 // anchor set: anchor indices identify offset rows across the whole chain
 // of schedules, so an edit that drifts them must go through a fresh
 // Compute instead. This is the typed, documented form of what the old
 // incremental path reported as an opaque "internal" error; servers map it
 // to a client error (422), not a 500.
 type AnchorDriftError struct {
-	// Vertex is the vertex whose delay would create or displace an
-	// anchor (the inserted vertex, or the first diverging anchor).
+	// Vertex is the vertex whose delay would create an anchor: the ID the
+	// inserted vertex would have received.
 	Vertex cg.VertexID
 	// Reason describes the drift.
 	Reason string
@@ -63,7 +64,7 @@ func (e *AnchorDriftError) Error() string {
 }
 
 // deltaRaiseSlack pads the raise-only worklist budget: past
-// deltaRaiseSlack + 4·|E| raises in one anchor row, Apply abandons the
+// deltaRaiseSlack + 4·|E| raises for one anchor, Apply abandons the
 // worklist for the classic sweep loop, whose |E_b|+1 bound (Theorem 8)
 // either converges or proves the constraints inconsistent. The worklist's
 // partial raises are kept — every raise is justified by a real path, so
@@ -95,12 +96,19 @@ func (t *touchSet) reset() {
 	t.list = t.list[:0]
 }
 
-// deltaScratch is the pooled working set of the delta paths. All full-size
+// deltaScratch is the pooled working set of one edit. All full-size
 // arrays are reset sparsely (touchSet) or not at all (vals is fully
 // written before being read), so a small edit on a large graph allocates
 // and zeroes nothing proportional to the graph.
 type deltaScratch struct {
+	// touched holds the vertices whose σ columns the edit copied and
+	// wrote — exactly the vertices whose offsets moved.
 	touched touchSet
+	// owned records which of the derived schedule's tables the edit has
+	// already copied away from the base; ownedChunks does the same for
+	// the chunks of column headers in the σ table.
+	owned       struct{ cols, full, relevant, irredundant bool }
+	ownedChunks []bool
 	// removal-cone state: membership mask, member list, topo-ordered
 	// member list, and the per-anchor value buffer of the restricted solve.
 	inR   []bool
@@ -109,13 +117,17 @@ type deltaScratch struct {
 	vals  []int
 }
 
-// size grows the full-size arrays to cover n vertices.
-func (sc *deltaScratch) size(n int) {
+// newDeltaScratch takes a scratch from the pool, grown to cover n
+// vertices.
+func newDeltaScratch(n int) *deltaScratch {
+	sc := deltaPool.Get().(*deltaScratch)
 	if len(sc.touched.mark) < n {
 		sc.touched.mark = make([]bool, n)
 		sc.inR = make([]bool, n)
 		sc.vals = make([]int, n)
+		sc.ownedChunks = make([]bool, n>>sigmaChunkBits+1)
 	}
+	return sc
 }
 
 // release resets the sparse state and returns the scratch to the pool.
@@ -126,11 +138,73 @@ func (sc *deltaScratch) release() {
 	}
 	sc.rList = sc.rList[:0]
 	sc.topoR = sc.topoR[:0]
+	sc.owned = struct{ cols, full, relevant, irredundant bool }{}
+	clear(sc.ownedChunks)
 	deltaPool.Put(sc)
 }
 
 // deltaPool recycles deltaScratch across Apply calls on all goroutines.
 var deltaPool = sync.Pool{New: func() any { return new(deltaScratch) }}
+
+// own returns tab itself if the edit already owns it, else a private copy
+// of the per-vertex table (the entries, not what they point to), marking
+// it owned. Every delta write goes through an owned table, so the base
+// schedule's tables are never written.
+func own[T any](tab []T, owned *bool) []T {
+	if *owned {
+		return tab
+	}
+	*owned = true
+	return append([]T(nil), tab...)
+}
+
+// extend returns a private copy of the per-vertex table with one more
+// entry, allocated at its exact size: the base keeps its table, and the
+// next insert copies this one in turn.
+func extend[T any](tab []T, last T) []T {
+	out := make([]T, len(tab)+1)
+	copy(out, tab)
+	out[len(tab)] = last
+	return out
+}
+
+// ownChunk makes the chunk of column headers holding vertex v private to
+// next, copying the chunk index first if the edit has not yet.
+func (sc *deltaScratch) ownChunk(next *Schedule, v int) [][]int {
+	t := &next.cols
+	t.chunks = own(t.chunks, &sc.owned.cols)
+	k := v >> sigmaChunkBits
+	if !sc.ownedChunks[k] {
+		t.chunks[k] = append([][]int(nil), t.chunks[k]...)
+		sc.ownedChunks[k] = true
+	}
+	return t.chunks[k]
+}
+
+// set writes σ_a(v) = val for anchor index ai into next, copying v's
+// column (and its chunk of headers) on the edit's first write to it.
+func (sc *deltaScratch) set(next *Schedule, v, ai, val int) {
+	if !sc.touched.mark[v] {
+		chunk := sc.ownChunk(next, v)
+		i := v & (1<<sigmaChunkBits - 1)
+		chunk[i] = append([]int(nil), chunk[i]...)
+		sc.touched.add(v)
+	}
+	next.cols.col(v)[ai] = val
+}
+
+// appendCol adds the column of a new last vertex to next's σ table.
+func (sc *deltaScratch) appendCol(next *Schedule, col []int) {
+	t := &next.cols
+	t.chunks = own(t.chunks, &sc.owned.cols)
+	if k := t.n >> sigmaChunkBits; k == len(t.chunks) {
+		t.chunks = append(t.chunks, [][]int{col})
+	} else {
+		t.chunks[k] = extend(t.chunks[k], col)
+	}
+	sc.ownedChunks[t.n>>sigmaChunkBits] = true
+	t.n++
+}
 
 // Apply applies the edits to the schedule's graph in order and returns a
 // new schedule for the edited graph, leaving the receiver untouched. The
@@ -140,13 +214,14 @@ var deltaPool = sync.Pool{New: func() any { return new(deltaScratch) }}
 // *AnchorDriftError — every edit already applied to the graph is
 // reverted and the receiver remains the graph's valid schedule.
 //
-// Additions cost O(cone): the copy of the offset arena plus work
-// proportional to the vertices whose offsets, anchor sets, or
-// reachability actually change. Removals re-derive the rows of the
-// anchors that reached the removed edge. Vertex insertion re-runs the
-// cold pipeline. Hooks carry over from the base schedule, so incremental
-// re-schedules are traced exactly like the cold compute that produced
-// the base.
+// Additions cost O(cone): one copied σ column per vertex whose offsets
+// move, plus work proportional to the vertices whose offsets or anchor
+// sets actually change. Removals re-derive, over the removed edge's cone,
+// the offsets of the anchors whose longest paths took the edge. A bounded vertex
+// insertion costs one O(|A|) column and O(|V|) of table headers on top
+// of the addition of its x→succ edge. Hooks carry over from the base
+// schedule, so incremental re-schedules are traced exactly like the cold
+// compute that produced the base.
 func (s *Schedule) Apply(edits ...cg.Edit) (*Schedule, error) {
 	if s.gen != s.G.Generation() {
 		return nil, fmt.Errorf("%w (schedule gen %d, graph gen %d)", ErrStaleSchedule, s.gen, s.G.Generation())
@@ -196,9 +271,23 @@ func revertAfter(g *cg.Graph, d cg.Delta, err error) (*Schedule, cg.Delta, error
 	return nil, cg.Delta{}, err
 }
 
-// applyInsert handles vertex insertion: a bounded-delay insert re-runs
-// the cold pipeline on the edited graph (arena width and every analysis
-// table change shape), while an unbounded-delay insert is rejected with
+// derive returns the schedule an edit of s starts from: it shares every
+// table of s, and the edit copies each table before its first write to
+// it, so s stays valid for its readers. Call it after the graph edit, so
+// the new schedule carries the new generation.
+func (s *Schedule) derive() *Schedule {
+	info := *s.Info
+	return &Schedule{
+		G: s.G, Info: &info, Iterations: s.Iterations,
+		cols: s.cols, hooks: s.hooks, gen: s.G.Generation(),
+	}
+}
+
+// applyInsert splices a bounded operation x between pred and succ by
+// Lemma 8 warm start: x's entries in every per-vertex table come from
+// pred (growVertex), then the x→succ edge is re-scheduled as a constraint
+// addition. A bounded insert cannot change the anchor list, so nothing
+// is re-analyzed. An unbounded-delay insert is rejected with
 // AnchorDriftError before touching the graph.
 func (s *Schedule) applyInsert(ed cg.Edit) (*Schedule, cg.Delta, error) {
 	if !ed.Delay.Bounded() {
@@ -212,61 +301,86 @@ func (s *Schedule) applyInsert(ed cg.Edit) (*Schedule, cg.Delta, error) {
 	if err != nil {
 		return nil, cg.Delta{}, err
 	}
-	if err := CheckWellPosed(g); err != nil {
+	next := s.derive()
+	sc := newDeltaScratch(g.N())
+	defer sc.release()
+	next.growVertex(sc, d.Edge)
+	if err := next.addEdge(sc, g.Edge(d.EdgeIndex+1), d.EdgeIndex+1); err != nil {
 		return revertAfter(g, d, err)
 	}
-	info, err := Analyze(g)
-	if err != nil {
-		return revertAfter(g, d, err)
-	}
-	// Defense in depth for the anchor-identity contract: a bounded insert
-	// must not move the anchor list (delays determine anchors).
-	if len(info.List) != len(s.Info.List) {
-		return revertAfter(g, d, &AnchorDriftError{Vertex: d.Vertex, Reason: "anchor count changed across rebuild"})
-	}
-	for i, a := range info.List {
-		if a != s.Info.List[i] {
-			return revertAfter(g, d, &AnchorDriftError{Vertex: a, Reason: "anchor list changed across rebuild"})
-		}
-	}
-	next, err := schedule(info, s.hooks)
-	if err != nil {
-		return revertAfter(g, d, err)
-	}
+	s.hooks.relaxationSweep(1)
+	s.hooks.readjustment(0)
 	return next, d, nil
 }
 
-// pair records one (anchor row, vertex) offset transition out of the
-// NoOffset sentinel, for copy-on-write maintenance of the Reach rows.
-type pair struct{ ai, v int }
+// growVertex extends every per-vertex table by the vertex x that pe
+// (pred→x, x's only in-edge so far) leads into. Every path to x ends with
+// pe, so σ(x) = σ(pred) + w(pe) per anchor (Theorem 3); A(x) is A(pred),
+// plus pred itself across an unbounded edge (Definition 4); R(x) is R(pred)
+// across a bounded edge, or {pred} across an unbounded one — a defining
+// path's only unbounded edge is its first (Definitions 8–9). IR(x) then
+// follows from the new column (Definition 11). No other vertex's entries
+// change until the x→succ edge is added. Each table is copied once, at
+// O(|V|) header cost, and x's column costs O(|A|).
+func (next *Schedule) growVertex(sc *deltaScratch, pe cg.Edge) {
+	info := next.Info
+	nA := len(info.List)
+	x := next.cols.n
+	w := pe.MinWeight()
+	col := make([]int, nA)
+	for ai, f := range next.cols.col(int(pe.From)) {
+		if f == NoOffset {
+			col[ai] = NoOffset
+		} else {
+			col[ai] = f + w
+		}
+	}
+	sc.appendCol(next, col)
+	full := info.Full[pe.From].Clone()
+	rel := bitset.New(nA)
+	if pe.Unbounded {
+		full.Add(info.Index[pe.From])
+		rel.Add(info.Index[pe.From])
+	} else {
+		rel.CopyFrom(info.Relevant[pe.From])
+	}
+	info.Full = extend(info.Full, full)
+	info.Relevant = extend(info.Relevant, rel)
+	ir := bitset.New(nA)
+	info.Irredundant = extend(info.Irredundant, ir)
+	info.irredundantAt(x, next.cols, ir, nil)
+	sc.owned.full, sc.owned.relevant, sc.owned.irredundant = true, true, true
+}
 
 // applyAddition is the hot path: a constraint addition re-scheduled by
-// Lemma 8 warm start. The base offsets are valid lower bounds for the
-// edited graph, so seeding the copied arena with them and relaxing a
-// raise-only worklist outward from the new edge converges to the new
-// minimum schedule, touching only the cone the edit actually moves.
+// Lemma 8 warm start (addEdge).
 func (s *Schedule) applyAddition(ed cg.Edit) (*Schedule, cg.Delta, error) {
 	g := s.G
 	d, err := g.ApplyEdit(ed)
 	if err != nil {
 		return nil, cg.Delta{}, err
 	}
-	e := d.Edge // stored orientation (backward for a max constraint)
-
-	next := &Schedule{
-		G: g, Iterations: s.Iterations, nV: s.nV,
-		rows:  append([][]int(nil), s.rows...),
-		hooks: s.hooks, gen: g.Generation(),
-	}
-	info := *s.Info
-	next.Info = &info
-	sc := deltaPool.Get().(*deltaScratch)
-	sc.size(s.nV)
-	ts := &sc.touched
-	fail := func(err error) (*Schedule, cg.Delta, error) {
-		sc.release() // the partial rows are discarded with next
+	next := s.derive()
+	sc := newDeltaScratch(g.N())
+	defer sc.release()
+	if err := next.addEdge(sc, d.Edge, d.EdgeIndex); err != nil {
 		return revertAfter(g, d, err)
 	}
+	s.hooks.relaxationSweep(1)
+	s.hooks.readjustment(0)
+	return next, d, nil
+}
+
+// addEdge re-schedules next for the edge e (stored orientation: backward
+// for a maximum constraint) just added to its graph at index ei. The
+// offsets next holds are valid lower bounds for the edited graph (Lemma
+// 8), so relaxing a raise-only worklist outward from the new edge
+// converges to the new minimum schedule, touching only the cone the edit
+// actually moves. The error is an *IllPosedError, ErrUnfeasible or
+// ErrInconsistent.
+func (next *Schedule) addEdge(sc *deltaScratch, e cg.Edge, ei int) error {
+	g := next.G
+	info := next.Info
 
 	// Anchor-set maintenance and the Theorem 2 containment re-check. A
 	// forward edge grows Full sets downstream of the head; a backward
@@ -274,123 +388,52 @@ func (s *Schedule) applyAddition(ed cg.Edit) (*Schedule, cg.Delta, error) {
 	// its own.
 	var changedFull []int
 	if e.Kind.Forward() {
-		changedFull = info.growFull(e)
+		changedFull = info.growFull(sc, e)
 		for _, v := range changedFull {
-			for _, ei := range g.OutEdges(cg.VertexID(v)) {
-				be := g.Edge(ei)
+			for _, bi := range g.OutEdges(cg.VertexID(v)) {
+				be := g.Edge(bi)
 				if be.Kind.Forward() {
 					continue
 				}
 				if !info.Full[be.From].SubsetOf(info.Full[be.To]) {
-					return fail(illPosed(&info, ei, be))
+					return illPosed(info, bi, be)
 				}
 			}
 		}
 	} else if !info.Full[e.From].SubsetOf(info.Full[e.To]) {
-		return fail(illPosed(&info, d.EdgeIndex, e))
+		return illPosed(info, ei, e)
 	}
 
-	// Warm-started relaxation over the affected anchors: those whose
-	// reachability cone contains the edit's tail. (Reach is a superset
-	// of the FwdReach cone the forward seeds use; backward edges make
-	// offsets exist beyond forward reachability, so affectedness must be
-	// judged on the full-graph cone.) Everywhere else the base fixpoint
-	// is untouched by the new edge. Rows are copy-on-write: an anchor
-	// whose row the edit never raises keeps sharing the base storage.
-	var reachAdds []pair
-	ownFwd, ownReach := false, false
-	nA := len(info.List)
+	// Warm-started relaxation over the affected anchors: those with an
+	// offset at the edit's tail. Everywhere else the base fixpoint is
+	// untouched by the new edge.
+	w := e.MinWeight()
 	wlp := stackPool.Get().(*[]int)
-	for ai := 0; ai < nA; ai++ {
-		row := next.rows[ai]
-		if row[e.From] == NoOffset {
+	defer stackPool.Put(wlp)
+	for ai := range info.List {
+		f := next.cols.col(int(e.From))[ai]
+		if f == NoOffset || f+w <= next.cols.col(int(e.To))[ai] {
 			continue
 		}
-		writable := false
-		own := func() {
-			if !writable {
-				row = append([]int(nil), row...)
-				next.rows[ai] = row
-				writable = true
-			}
-		}
-		wl := (*wlp)[:0]
-		// A forward edge may extend the anchor's forward-reachable set
-		// V_a (Definition 3): newly reachable vertices seed at offset 0
-		// (Lemma 8 floor) and join the worklist.
-		if e.Kind.Forward() {
-			fwd := info.fwdReach(ai)
-			if fwd[e.From] && !fwd[e.To] {
-				if !ownFwd {
-					info.FwdReach = append([][]bool(nil), info.FwdReach...)
-					ownFwd = true
-				}
-				nf := append([]bool(nil), fwd...)
-				wl = growFwdReach(g, nf, int(e.To), wl)
-				info.FwdReach[ai] = nf
-				for _, v := range wl {
-					if row[v] < 0 {
-						if row[v] == NoOffset {
-							reachAdds = append(reachAdds, pair{ai, v})
-						}
-						own()
-						row[v] = 0
-						ts.add(v)
-					}
-				}
-			}
-		}
-		// Seed the worklist with the new edge's own relaxation.
-		if dd := row[e.From] + e.MinWeight(); dd > row[e.To] {
-			if row[e.To] == NoOffset {
-				reachAdds = append(reachAdds, pair{ai, int(e.To)})
-			}
-			own()
-			row[e.To] = dd
-			ts.add(int(e.To))
-			wl = append(wl, int(e.To))
-		}
-		if len(wl) > 0 {
-			// A non-empty worklist implies a seed write, so row is the
-			// private copy by now.
-			var overflow bool
-			wl, overflow = relaxWorklist(g, row, wl, ts, &reachAdds, ai)
-			if overflow {
-				// Classic warm-started sweeps: the partial raises are
-				// valid lower bounds, so convergence or the Theorem 8
-				// bound still decides.
-				if err := next.solveRowsWarm([]int{ai}, ts, &reachAdds); err != nil {
-					*wlp = wl
-					stackPool.Put(wlp)
-					return fail(next.classify(err))
-				}
-			}
-		}
+		sc.set(next, int(e.To), ai, f+w)
+		wl, overflow, err := next.relaxWorklist(sc, ai, int(e.From), append((*wlp)[:0], int(e.To)))
 		*wlp = wl
-	}
-	stackPool.Put(wlp)
-
-	// The offset rows are the new longest-path rows (Theorem 3; NoOffset
-	// and cg.Unreachable are the same sentinel), so Longest is free.
-	info.Longest = append([][]int(nil), next.rows...)
-	for _, p := range reachAdds {
-		if !ownReach {
-			info.Reach = append([][]bool(nil), info.Reach...)
-			ownReach = true
+		if err != nil {
+			return err
 		}
-		if sharedRow(info.Reach[p.ai], s.Info.Reach[p.ai]) {
-			info.Reach[p.ai] = append([]bool(nil), info.Reach[p.ai]...)
+		if overflow {
+			// Classic warm-started sweeps: the partial raises are valid
+			// lower bounds, so convergence or the Theorem 8 bound still
+			// decides.
+			if err := next.solveWarm(sc, ai); err != nil {
+				return next.classify(err)
+			}
 		}
-		info.Reach[p.ai][p.v] = true
 	}
 
-	info.growRelevant(s.Info, e)
-	next.refreshIrredundant(changedFull, ts)
-
-	s.hooks.relaxationSweep(1)
-	s.hooks.readjustment(0)
-	sc.release()
-	return next, d, nil
+	info.growRelevant(sc, e)
+	next.refreshIrredundant(sc, changedFull, true)
+	return nil
 }
 
 // applyRemoval removes a constraint edge. Offsets may decrease, so Lemma
@@ -398,23 +441,27 @@ func (s *Schedule) applyAddition(ed cg.Edit) (*Schedule, cg.Delta, error) {
 // the removal cone R — the vertices reachable from the removed edge's
 // head along stored-orientation edges of any kind. Constraint effects
 // propagate only along stored directions (forward relaxations and
-// backward readjustments both push values From → To), so longest paths,
-// reachability, forward reachability, and relevance are all unchanged
-// outside R, and R is closed under out-edges — no value inside ever
-// feeds one outside. Each affected anchor (those whose cone reached the
-// edge's tail) has its row re-derived over R only, against the frozen
-// boundary of base values on in-edges from outside R. Cost is
-// O(|affected| · |R| · iterations) plus one O(V) topo filter — an edit
-// near the sink of a large graph re-schedules in microseconds.
+// backward readjustments both push values From → To), so longest paths
+// and relevance are unchanged outside R, and R is closed under out-edges
+// — no value inside ever feeds one outside. Each affected anchor (those
+// for which the edge is tight) has its offsets re-derived over R only,
+// against the frozen boundary of base values on in-edges from outside R.
+// Cost is O(|affected| · |R| · iterations) plus one O(V) topo filter — an
+// edit near the sink of a large graph re-schedules in microseconds.
 func (s *Schedule) applyRemoval(ed cg.Edit) (*Schedule, cg.Delta, error) {
 	g := s.G
 	if ed.EdgeIndex < 0 || ed.EdgeIndex >= g.M() {
 		return nil, cg.Delta{}, fmt.Errorf("cg: edge index %d out of range [0,%d)", ed.EdgeIndex, g.M())
 	}
 	e := g.Edge(ed.EdgeIndex)
+	// Only anchors for which the edge is tight can lose offsets: a longest
+	// walk never takes a slack edge (its prefix up to the edge's head
+	// would not be longest), so where σ_a(tail) + w < σ_a(head) every
+	// offset of a, and every vertex a reaches, survives without the edge.
 	var affected []int
-	for ai := 0; ai < len(s.Info.List); ai++ {
-		if s.rows[ai][e.From] != NoOffset {
+	head := s.cols.col(int(e.To))
+	for ai, f := range s.cols.col(int(e.From)) {
+		if f != NoOffset && f+e.MinWeight() == head[ai] {
 			affected = append(affected, ai)
 		}
 	}
@@ -423,20 +470,10 @@ func (s *Schedule) applyRemoval(ed cg.Edit) (*Schedule, cg.Delta, error) {
 		return nil, cg.Delta{}, err
 	}
 
-	next := &Schedule{
-		G: g, Iterations: s.Iterations, nV: s.nV,
-		rows:  append([][]int(nil), s.rows...),
-		hooks: s.hooks, gen: g.Generation(),
-	}
-	info := *s.Info
-	next.Info = &info
-	sc := deltaPool.Get().(*deltaScratch)
-	sc.size(s.nV)
-	ts := &sc.touched
-	fail := func(err error) (*Schedule, cg.Delta, error) {
-		sc.release()
-		return revertAfter(g, d, err)
-	}
+	next := s.derive()
+	info := next.Info
+	sc := newDeltaScratch(g.N())
+	defer sc.release()
 
 	// Full sets shrink only downstream of a removed forward edge;
 	// re-derive them over the head's forward cone in topological order,
@@ -445,7 +482,7 @@ func (s *Schedule) applyRemoval(ed cg.Edit) (*Schedule, cg.Delta, error) {
 	// ill-posedness.
 	var changedFull []int
 	if e.Kind.Forward() {
-		changedFull = info.shrinkFull(s.Info, int(e.To))
+		changedFull = info.shrinkFull(sc, int(e.To))
 		for _, v := range changedFull {
 			for _, ei := range g.InEdges(cg.VertexID(v)) {
 				be := g.Edge(ei)
@@ -453,7 +490,7 @@ func (s *Schedule) applyRemoval(ed cg.Edit) (*Schedule, cg.Delta, error) {
 					continue
 				}
 				if !info.Full[be.From].SubsetOf(info.Full[be.To]) {
-					return fail(illPosed(&info, ei, be))
+					return revertAfter(g, d, illPosed(info, ei, be))
 				}
 			}
 		}
@@ -478,76 +515,34 @@ func (s *Schedule) applyRemoval(ed cg.Edit) (*Schedule, cg.Delta, error) {
 		}
 	}
 	var bwdR []int
-	for _, ei := range g.BackwardEdges() {
-		if inR[g.Edge(ei).To] {
+	for ei, be := range g.Edges() {
+		if !be.Kind.Forward() && inR[be.To] {
 			bwdR = append(bwdR, ei)
 		}
 	}
 
-	// Forward reachability can shrink after a forward-edge removal, but
-	// only inside R (every forward path through the removed edge continues
-	// from its head). One topo pass over R re-derives it from the
-	// surviving forward in-edges, with the boundary read from base rows.
-	ownFwd := false
-	if e.Kind.Forward() {
-		for _, ai := range affected {
-			fwd := info.fwdReach(ai)
-			a := int(info.List[ai])
-			var nf []bool
-			for _, v := range sc.topoR {
-				val := v == a
-				if !val {
-					for _, ei := range g.InEdges(cg.VertexID(v)) {
-						ie := g.Edge(ei)
-						if !ie.Kind.Forward() {
-							continue
-						}
-						u := int(ie.From)
-						if nf != nil && inR[u] {
-							val = nf[u]
-						} else {
-							val = fwd[u]
-						}
-						if val {
-							break
-						}
-					}
-				}
-				if nf == nil && val != fwd[v] {
-					nf = append([]bool(nil), fwd...)
-				}
-				if nf != nil {
-					nf[v] = val
-				}
-			}
-			if nf != nil {
-				if !ownFwd {
-					info.FwdReach = append([][]bool(nil), info.FwdReach...)
-					ownFwd = true
-				}
-				info.FwdReach[ai] = nf
-			}
-		}
-	}
-
-	// Re-derive each affected row over R: seed the cone entries (0 inside
-	// the anchor's forward reach, NoOffset outside — the cold seeds), then
+	// Re-derive each affected anchor's offsets over R: seed the cold
+	// values (0 at the anchor itself, NoOffset elsewhere in R), then
 	// iterate restricted forward passes and backward readjustments until
-	// convergence. Removing a constraint from a consistent system keeps it
-	// consistent, but the Theorem 8 bound guards regardless. Rows and
-	// Reach rows whose values come out identical keep the base storage.
+	// convergence, reading base offsets across the boundary of R.
+	// Removing a constraint from a consistent system keeps it consistent,
+	// but the Theorem 8 bound guards regardless. Only entries that come
+	// out different are written, so unmoved vertices keep sharing the base
+	// columns.
 	vals := sc.vals
-	ownReach := false
 	maxIter := len(bwdR) + 1
+	at := func(u cg.VertexID, ai int) int {
+		if inR[u] {
+			return vals[u]
+		}
+		return s.cols.col(int(u))[ai]
+	}
 	for _, ai := range affected {
-		base := next.rows[ai]
-		fwd := info.fwdReach(ai)
 		for _, v := range sc.rList {
-			if fwd[v] {
-				vals[v] = 0
-			} else {
-				vals[v] = NoOffset
-			}
+			vals[v] = NoOffset
+		}
+		if a := info.List[ai]; inR[a] {
+			vals[a] = 0
 		}
 		converged := false
 		iters := 0
@@ -560,10 +555,7 @@ func (s *Schedule) applyRemoval(ed cg.Edit) (*Schedule, cg.Delta, error) {
 					if !ie.Kind.Forward() {
 						continue
 					}
-					f := base[ie.From]
-					if inR[ie.From] {
-						f = vals[ie.From]
-					}
+					f := at(ie.From, ai)
 					if f == NoOffset {
 						continue
 					}
@@ -576,10 +568,7 @@ func (s *Schedule) applyRemoval(ed cg.Edit) (*Schedule, cg.Delta, error) {
 			raised := 0
 			for _, ei := range bwdR {
 				be := g.Edge(ei)
-				f := base[be.From]
-				if inR[be.From] {
-					f = vals[be.From]
-				}
+				f := at(be.From, ai)
 				if f == NoOffset {
 					continue
 				}
@@ -594,45 +583,25 @@ func (s *Schedule) applyRemoval(ed cg.Edit) (*Schedule, cg.Delta, error) {
 			}
 		}
 		if !converged {
-			return fail(next.classify(ErrInconsistent))
+			return revertAfter(g, d, next.classify(ErrInconsistent))
 		}
 		if iters > next.Iterations {
 			next.Iterations = iters
 		}
-		var row []int
-		var nr []bool
 		for _, v := range sc.rList {
-			if vals[v] != base[v] {
-				if row == nil {
-					row = append([]int(nil), base...)
-					next.rows[ai] = row
-				}
-				row[v] = vals[v]
-				ts.add(v)
-			}
-			if nb := vals[v] != NoOffset; nb != (base[v] != NoOffset) {
-				if nr == nil {
-					if !ownReach {
-						info.Reach = append([][]bool(nil), info.Reach...)
-						ownReach = true
-					}
-					nr = append([]bool(nil), info.Reach[ai]...)
-					info.Reach[ai] = nr
-				}
-				nr[v] = nb
+			if vals[v] != s.cols.col(v)[ai] {
+				sc.set(next, v, ai, vals[v])
 			}
 		}
 	}
 	s.hooks.relaxationSweep(next.Iterations)
-
-	info.Longest = append([][]int(nil), next.rows...)
 
 	// Relevance can change only inside R: a defining path through the
 	// removed edge continues from its head, so every vertex it marks past
 	// the edit is in R. Re-derive R members from their in-edges — direct
 	// unbounded edges contribute the tail anchor, bounded boundary edges
 	// contribute the (unchanged) base sets — then propagate across bounded
-	// edges inside R to the monotone fixpoint, mirroring refloodRelevant's
+	// edges inside R to the monotone fixpoint, mirroring relevantAnchors'
 	// dataflow (a defining path never revisits its own anchor).
 	nAbits := len(info.List)
 	relNew := make(map[int]bitset.Set, len(sc.rList))
@@ -675,22 +644,17 @@ func (s *Schedule) applyRemoval(ed cg.Edit) (*Schedule, cg.Delta, error) {
 			relWl = append(relWl, int(oe.To))
 		}
 	}
-	ownRel := false
 	for _, v := range sc.rList {
 		if relNew[v].Equal(info.Relevant[v]) {
 			continue
 		}
-		if !ownRel {
-			info.Relevant = append([]bitset.Set(nil), info.Relevant...)
-			ownRel = true
-		}
+		info.Relevant = own(info.Relevant, &sc.owned.relevant)
 		info.Relevant[v] = relNew[v]
 	}
 
-	next.refreshIrredundant(changedFull, ts)
+	next.refreshIrredundant(sc, changedFull, false)
 
 	s.hooks.readjustment(0)
-	sc.release()
 	return next, d, nil
 }
 
@@ -717,129 +681,86 @@ func illPosed(info *AnchorInfo, ei int, e cg.Edge) error {
 	return ill
 }
 
-// growFwdReach floods forward from start over vertices not yet in fwd,
-// marking them and appending them to out (which is returned).
-func growFwdReach(g *cg.Graph, fwd []bool, start int, out []int) []int {
-	if fwd[start] {
-		return out
-	}
-	fwd[start] = true
-	out = append(out, start)
-	for k := len(out) - 1; k < len(out); k++ {
-		v := cg.VertexID(out[k])
-		for _, ei := range g.OutEdges(v) {
-			e := g.Edge(ei)
-			if !e.Kind.Forward() || fwd[e.To] {
-				continue
-			}
-			fwd[e.To] = true
-			out = append(out, int(e.To))
-		}
-	}
-	return out
-}
-
-// relaxWorklist drains the raise-only worklist for one anchor row: pop a
+// relaxWorklist drains the raise-only worklist for one anchor: pop a
 // raised vertex, relax its out-edges (forward and backward alike), push
 // heads that rose. Raises are justified by real paths from valid lower
-// bounds, so the drained fixpoint is the row's new minimum schedule.
-// overflow reports that the raise budget ran out (an inconsistency's
-// unbounded cascade, or a pathological but consistent one) — the caller
-// falls back to the bounded sweep loop.
-func relaxWorklist(g *cg.Graph, row []int, wl []int, ts *touchSet, reachAdds *[]pair, ai int) (stack []int, overflow bool) {
+// bounds, so the drained fixpoint is the anchor's new minimum schedule.
+// Every raised value is σ(tail) + w(e) plus the length of a walk from the
+// new edge's head, so a raise that reaches tail — the new edge's own tail
+// — closes a positive cycle through the edge: the edit is unfeasible
+// (Theorem 1, ErrUnfeasible) and the drain stops there. overflow reports
+// that the raise budget ran out (a pathological but consistent cascade)
+// — the caller falls back to the bounded sweep loop.
+func (next *Schedule) relaxWorklist(sc *deltaScratch, ai, tail int, wl []int) (stack []int, overflow bool, err error) {
+	g := next.G
 	budget := deltaRaiseSlack + 4*g.M()
 	for len(wl) > 0 {
 		v := cg.VertexID(wl[len(wl)-1])
 		wl = wl[:len(wl)-1]
-		f := row[v]
+		f := next.cols.col(int(v))[ai]
 		for _, ei := range g.OutEdges(v) {
 			e := g.Edge(ei)
-			if d := f + e.MinWeight(); d > row[e.To] {
-				if row[e.To] == NoOffset {
-					*reachAdds = append(*reachAdds, pair{ai, int(e.To)})
+			if d := f + e.MinWeight(); d > next.cols.col(int(e.To))[ai] {
+				if int(e.To) == tail {
+					return wl[:0], false, ErrUnfeasible
 				}
-				row[e.To] = d
-				ts.add(int(e.To))
+				sc.set(next, int(e.To), ai, d)
 				wl = append(wl, int(e.To))
 				if budget--; budget < 0 {
-					return wl[:0], true
+					return wl[:0], true, nil
 				}
 			}
 		}
 	}
-	return wl, false
+	return wl, false, nil
 }
 
-// solveRowsWarm runs the classic §IV-E sweep/readjust loop over the given
-// anchor rows on the adjacency view (the delta path leaves the CSR stale
-// on purpose), warm-starting from the rows' current values.
-// touched/reachAdds, when non-nil, record raised vertices and NoOffset
-// transitions for the caller's copy-on-write bookkeeping.
-func (s *Schedule) solveRowsWarm(rows []int, touched *touchSet, reachAdds *[]pair) error {
-	g := s.G
+// solveWarm runs the classic §IV-E sweep/readjust loop for one anchor on
+// the adjacency view (the delta path leaves the CSR stale on purpose),
+// warm-starting from the anchor's current offsets.
+func (next *Schedule) solveWarm(sc *deltaScratch, ai int) error {
+	g := next.G
 	topo := g.TopoForward()
 	bwd := g.BackwardEdges()
 	maxIter := len(bwd) + 1
-	solveRow := func(ai int) (int, error) {
-		row := s.row(ai)
-		for iter := 1; iter <= maxIter; iter++ {
-			for _, v := range topo {
-				f := row[v]
-				if f == NoOffset {
-					continue
-				}
-				for _, ei := range g.OutEdges(v) {
-					e := g.Edge(ei)
-					if !e.Kind.Forward() {
-						continue
-					}
-					if d := f + e.MinWeight(); d > row[e.To] {
-						if row[e.To] == NoOffset && reachAdds != nil {
-							*reachAdds = append(*reachAdds, pair{ai, int(e.To)})
-						}
-						row[e.To] = d
-						if touched != nil {
-							touched.add(int(e.To))
-						}
-					}
-				}
+	iters, err := maxIter, ErrInconsistent
+	for iter := 1; iter <= maxIter; iter++ {
+		for _, v := range topo {
+			f := next.cols.col(int(v))[ai]
+			if f == NoOffset {
+				continue
 			}
-			raised := 0
-			for _, ei := range bwd {
+			for _, ei := range g.OutEdges(v) {
 				e := g.Edge(ei)
-				f := row[e.From]
-				if f == NoOffset {
+				if !e.Kind.Forward() {
 					continue
 				}
-				if d := f + e.Weight; d > row[e.To] {
-					if row[e.To] == NoOffset && reachAdds != nil {
-						*reachAdds = append(*reachAdds, pair{ai, int(e.To)})
-					}
-					row[e.To] = d
-					if touched != nil {
-						touched.add(int(e.To))
-					}
-					raised++
+				if d := f + e.MinWeight(); d > next.cols.col(int(e.To))[ai] {
+					sc.set(next, int(e.To), ai, d)
 				}
 			}
-			if raised == 0 {
-				return iter, nil
+		}
+		raised := 0
+		for _, ei := range bwd {
+			e := g.Edge(ei)
+			f := next.cols.col(int(e.From))[ai]
+			if f == NoOffset {
+				continue
+			}
+			if d := f + e.Weight; d > next.cols.col(int(e.To))[ai] {
+				sc.set(next, int(e.To), ai, d)
+				raised++
 			}
 		}
-		return maxIter, ErrInconsistent
-	}
-	var err error
-	for _, ai := range rows {
-		var iters int
-		iters, err = solveRow(ai)
-		if iters > s.Iterations {
-			s.Iterations = iters
-		}
-		if err != nil {
+		if raised == 0 {
+			iters, err = iter, nil
 			break
 		}
 	}
-	s.hooks.relaxationSweep(s.Iterations)
+	if iters > next.Iterations {
+		next.Iterations = iters
+	}
+	next.hooks.relaxationSweep(next.Iterations)
 	return err
 }
 
@@ -848,7 +769,7 @@ func (s *Schedule) solveRowsWarm(rows []int, touched *touchSet, reachAdds *[]pai
 // head's forward cone, copy-on-write. Full sets are monotone along
 // forward edges, so propagation stops wherever the contribution is
 // already contained. Returns the vertices whose sets grew.
-func (info *AnchorInfo) growFull(e cg.Edge) []int {
+func (info *AnchorInfo) growFull(sc *deltaScratch, e cg.Edge) []int {
 	g := info.G
 	add := info.Full[e.From]
 	if e.Unbounded {
@@ -858,7 +779,7 @@ func (info *AnchorInfo) growFull(e cg.Edge) []int {
 	if add.SubsetOf(info.Full[e.To]) {
 		return nil
 	}
-	info.Full = append([]bitset.Set(nil), info.Full...)
+	info.Full = own(info.Full, &sc.owned.full)
 	var changed []int
 	stack := []int{int(e.To)}
 	for len(stack) > 0 {
@@ -884,7 +805,7 @@ func (info *AnchorInfo) growFull(e cg.Edge) []int {
 // head after a forward-edge removal, in topological order from each cone
 // vertex's surviving in-edges. Vertices outside the cone keep sharing
 // the base storage. Returns the vertices whose sets changed.
-func (info *AnchorInfo) shrinkFull(base *AnchorInfo, head int) []int {
+func (info *AnchorInfo) shrinkFull(sc *deltaScratch, head int) []int {
 	g := info.G
 	cone := make([]bool, g.N())
 	flood := []int{head}
@@ -897,7 +818,6 @@ func (info *AnchorInfo) shrinkFull(base *AnchorInfo, head int) []int {
 			}
 		}
 	}
-	info.Full = append([]bitset.Set(nil), info.Full...)
 	var changed []int
 	scratch := bitset.New(len(info.List))
 	for _, v := range g.TopoForward() {
@@ -915,10 +835,10 @@ func (info *AnchorInfo) shrinkFull(base *AnchorInfo, head int) []int {
 				scratch.Add(info.Index[e.From])
 			}
 		}
-		if scratch.Equal(base.Full[v]) {
-			info.Full[v] = base.Full[v]
+		if scratch.Equal(info.Full[v]) {
 			continue
 		}
+		info.Full = own(info.Full, &sc.owned.full)
 		info.Full[v] = scratch.Clone()
 		changed = append(changed, int(v))
 	}
@@ -926,22 +846,21 @@ func (info *AnchorInfo) shrinkFull(base *AnchorInfo, head int) []int {
 }
 
 // growRelevant propagates the relevant-anchor contribution of a new edge
-// (Definitions 8–9), copy-on-write against base. A bounded edge carries
-// the tail's relevant set across; an unbounded edge starts defining
-// paths for the tail anchor itself. Propagation follows bounded edges of
-// any kind, never adds an anchor to its own set (defining paths leave
-// the anchor, they do not revisit it), and stops where nothing is new —
-// the same dataflow relevantAnchors floods from scratch.
-func (info *AnchorInfo) growRelevant(base *AnchorInfo, e cg.Edge) {
+// (Definitions 8–9), copy-on-write. A bounded edge carries the tail's
+// relevant set across; an unbounded edge starts defining paths for the
+// tail anchor itself. Propagation follows bounded edges of any kind,
+// never adds an anchor to its own set (defining paths leave the anchor,
+// they do not revisit it), and stops where nothing is new — the same
+// dataflow relevantAnchors floods from scratch.
+func (info *AnchorInfo) growRelevant(sc *deltaScratch, e cg.Edge) {
 	g := info.G
 	var gain bitset.Set
 	if e.Unbounded {
 		gain = bitset.New(len(info.List))
 		gain.Add(info.Index[e.From])
 	} else {
-		gain = base.Relevant[e.From]
+		gain = info.Relevant[e.From]
 	}
-	owned := false
 	type item struct {
 		v int
 		m bitset.Set
@@ -957,10 +876,7 @@ func (info *AnchorInfo) growRelevant(base *AnchorInfo, e cg.Edge) {
 		if m.Empty() {
 			continue
 		}
-		if !owned {
-			info.Relevant = append([]bitset.Set(nil), info.Relevant...)
-			owned = true
-		}
+		info.Relevant = own(info.Relevant, &sc.owned.relevant)
 		ns := info.Relevant[it.v].Clone()
 		ns.UnionWith(m)
 		info.Relevant[it.v] = ns
@@ -972,113 +888,98 @@ func (info *AnchorInfo) growRelevant(base *AnchorInfo, e cg.Edge) {
 	}
 }
 
-// refloodRelevant clears and re-floods the given anchors' relevance bits
-// over the current graph — the per-anchor pass of relevantAnchors,
-// restricted to the anchors a removal could have affected. Relevant must
-// already be privately owned.
-func (info *AnchorInfo) refloodRelevant(anchors []int) {
-	g := info.G
-	for v := range info.Relevant {
-		for _, ai := range anchors {
-			info.Relevant[v].Remove(ai)
-		}
-	}
-	seen := make([]bool, g.N())
-	var stack []cg.VertexID
-	cross := func(v cg.VertexID, unbounded bool) {
-		for _, ei := range g.OutEdges(v) {
-			if e := g.Edge(ei); e.Unbounded == unbounded {
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	for _, ai := range anchors {
-		a := info.List[ai]
-		for i := range seen {
-			seen[i] = false
-		}
-		seen[a] = true
-		stack = stack[:0]
-		cross(a, true)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if seen[v] {
-				continue
-			}
-			seen[v] = true
-			info.Relevant[v].Add(ai)
-			cross(v, false)
-		}
-	}
-}
-
-// refreshIrredundant re-runs the Definition 11 domination test at every
-// vertex the edit could have re-ranked: vertices whose full anchor set
-// changed, vertices whose offsets moved, and vertices whose set contains
-// an anchor whose own offsets moved (the test compares path lengths
-// through anchors). Sets that come out unchanged keep sharing the base
-// storage.
-func (next *Schedule) refreshIrredundant(changedFull []int, ts *touchSet) {
+// refreshIrredundant re-derives the irredundant sets (Definition 11) an
+// edit could have changed. The test at v reads A(v), v's σ column, and
+// A(q) and σ(q) of every anchor q ∈ A(v), so IR(v) is re-run in full at
+// vertices whose column or full set changed, and re-checked at every
+// vertex whose set holds an anchor whose column or full set changed.
+// There v's own inputs are unchanged, and the edit moved the others one
+// way: an addition (grow) only raises offsets and grows full sets, so a
+// domination can only appear, and only through a changed anchor — the
+// re-check drops what such an anchor now dominates; a removal only lowers
+// them and shrinks sets, so a domination can only vanish — the re-check
+// re-admits the redundant anchors nothing dominates any more. Sets that
+// come out unchanged keep sharing the base storage.
+func (next *Schedule) refreshIrredundant(sc *deltaScratch, changedFull []int, grow bool) {
 	info := next.Info
+	ts := &sc.touched
 	nA := len(info.List)
-	anchorsMoved := bitset.New(nA)
-	moved := false
+	changed := bitset.New(nA)
 	for ai, a := range info.List {
 		if ts.mark[a] {
-			anchorsMoved.Add(ai)
-			moved = true
+			changed.Add(ai)
 		}
 	}
-	owned := false
+	for _, v := range changedFull {
+		if ai, ok := info.Index[cg.VertexID(v)]; ok {
+			changed.Add(ai)
+		}
+	}
 	scratch := bitset.New(nA)
 	var buf []int
+	store := func(v int, ir bitset.Set) {
+		info.Irredundant = own(info.Irredundant, &sc.owned.irredundant)
+		info.Irredundant[v] = ir
+	}
 	redo := func(v int) {
-		buf = info.irredundantAt(v, info.Longest, scratch, buf)
-		if scratch.Equal(info.Irredundant[v]) {
-			return
+		buf = info.irredundantAt(v, next.cols, scratch, buf)
+		if !scratch.Equal(info.Irredundant[v]) {
+			store(v, scratch)
+			scratch = bitset.New(nA)
 		}
-		if !owned {
-			info.Irredundant = append([]bitset.Set(nil), info.Irredundant...)
-			owned = true
-		}
-		info.Irredundant[v] = scratch
-		scratch = bitset.New(nA)
 	}
-	if moved {
-		// An anchor's own offsets moved: the domination comparison can
-		// flip at any vertex whose set contains it — one O(V) scan.
-		for v := 0; v < next.nV; v++ {
-			if ts.mark[v] || info.Full[v].Intersects(anchorsMoved) {
-				redo(v)
-			}
-		}
-		for _, v := range changedFull {
-			if !ts.mark[v] && !info.Full[v].Intersects(anchorsMoved) {
-				redo(v)
-			}
-		}
-		return
-	}
-	// Common case: only non-anchor offsets moved. The recompute is
-	// idempotent and Equal-guarded, so overlap between the two candidate
-	// lists is harmless — no dedup pass needed.
+	// The recompute is idempotent and Equal-guarded, so overlap between
+	// the candidate lists is harmless — no dedup pass needed.
 	for _, v := range changedFull {
 		redo(v)
 	}
 	for _, v := range ts.list {
 		redo(v)
 	}
-}
-
-// sharedRow reports whether two bool rows share storage.
-func sharedRow(a, b []bool) bool {
-	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+	if changed.Empty() {
+		return
+	}
+	// One O(V) scan for the vertices that see a changed anchor.
+	var xs, qs []int
+	for v := 0; v < next.cols.n; v++ {
+		if ts.mark[v] || !info.Full[v].Intersects(changed) {
+			continue
+		}
+		cur := info.Irredundant[v]
+		if grow {
+			// Drop what a changed anchor now dominates.
+			xs = cur.AppendTo(xs[:0])
+			qs = qs[:0]
+			changed.ForEach(func(qi int) {
+				if info.Full[v].Has(qi) {
+					qs = append(qs, qi)
+				}
+			})
+			scratch.CopyFrom(cur)
+			info.dropDominated(v, next.cols, xs, qs, scratch)
+			if !scratch.Equal(cur) {
+				store(v, scratch)
+				scratch = bitset.New(nA)
+			}
+			continue
+		}
+		// Re-admit the redundant anchors nothing dominates any more.
+		scratch.CopyFrom(info.Full[v])
+		cur.ForEach(scratch.Remove)
+		xs = scratch.AppendTo(xs[:0])
+		qs = info.Full[v].AppendTo(qs[:0])
+		info.dropDominated(v, next.cols, xs, qs, scratch)
+		if !scratch.Empty() {
+			scratch.UnionWith(cur)
+			store(v, scratch)
+			scratch = bitset.New(nA)
+		}
+	}
 }
 
 // Fork returns a schedule equivalent to s whose graph is a private
-// frozen clone, sharing the (copy-on-write, never-mutated) offset arena
-// and analysis rows. Apply mutates the schedule's graph in place, so
+// frozen clone, sharing the (copy-on-write, never-mutated) σ columns and
+// analysis sets. Apply mutates the schedule's graph in place, so
 // callers holding schedules from a shared cache — the engine's memoized
 // entries are immutable by contract — must Fork before applying deltas;
 // edits to the fork never touch the original graph or schedule.
@@ -1094,7 +995,7 @@ func (s *Schedule) Fork() (*Schedule, error) {
 	info.G = g2
 	return &Schedule{
 		G: g2, Info: &info, Iterations: s.Iterations,
-		rows: s.rows, nV: s.nV, hooks: s.hooks,
+		cols: s.cols, hooks: s.hooks,
 		gen: g2.Generation(),
 	}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -159,7 +160,7 @@ func TestDeltaTransactionalMultiEdit(t *testing.T) {
 }
 
 // TestDeltaInsertOp covers the vertex-insertion path: bounded inserts
-// rebuild cold (with anchors pinned), unbounded inserts are typed
+// warm-start from pred (anchors pinned), unbounded inserts are typed
 // anchor-drift rejections.
 func TestDeltaInsertOp(t *testing.T) {
 	g := paperex.Fig10()
@@ -223,9 +224,11 @@ func TestDeltaStaleAndFork(t *testing.T) {
 	agreeWithReference(t, "newest after stale probes", next)
 }
 
-// TestDeltaConcurrentReaders runs Offset readers on the base schedule
-// while a chain of constraint-only deltas applies — the copy-on-write
-// contract says base reads never observe the edits. Run under -race.
+// TestDeltaConcurrentReaders runs readers on the base schedule while a
+// chain of deltas — constraint additions mixed with bounded vertex
+// inserts — applies: the copy-on-write contract says base reads never
+// observe the edits, and readers that loop over vertices stay within the
+// base's own vertex count. Run under -race.
 func TestDeltaConcurrentReaders(t *testing.T) {
 	g := randgraph.Chain(2000, 500)
 	s, err := relsched.Compute(g)
@@ -233,6 +236,7 @@ func TestDeltaConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	anchors := s.Info.List
+	wantSum := s.SumOfMaxOffsets(relsched.FullAnchors)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -240,11 +244,18 @@ func TestDeltaConcurrentReaders(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(r)))
-			for {
+			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
+				}
+				if i%256 == 0 {
+					if got := s.SumOfMaxOffsets(relsched.FullAnchors); got != wantSum {
+						t.Errorf("base Σσmax moved from %d to %d", wantSum, got)
+						return
+					}
+					continue
 				}
 				a := anchors[rng.Intn(len(anchors))]
 				v := cg.VertexID(rng.Intn(2000))
@@ -257,20 +268,268 @@ func TestDeltaConcurrentReaders(t *testing.T) {
 	}
 	cur := s
 	rng := rand.New(rand.NewSource(99))
+	inserts := 0
 	for i := 0; i < 30; i++ {
-		// Constraint-only edits (no InsertOp): those are the ones the
-		// reader contract covers.
 		lo := cg.VertexID(1 + rng.Intn(1000))
 		hi := lo + cg.VertexID(1+rng.Intn(900))
-		next, err := cur.Apply(cg.AddMaxEdit(lo, hi, 4000))
+		ed := cg.AddMaxEdit(lo, hi, 4000)
+		if i%3 == 0 && g.Vertex(lo).Delay.Bounded() {
+			ed = cg.InsertOpEdit("", cg.Cycles(1), lo, hi)
+		}
+		next, err := cur.Apply(ed)
 		if err != nil {
 			continue
+		}
+		if ed.Op == cg.EditInsertOp {
+			inserts++
 		}
 		cur = next
 	}
 	close(stop)
 	wg.Wait()
+	if inserts == 0 {
+		t.Error("the edit chain applied no insert")
+	}
 	if err := relsched.Verify(cur); err != nil {
 		t.Fatalf("final Verify: %v", err)
+	}
+}
+
+// TestDeltaStaleBaseReaders pins readers of a base schedule after Apply
+// inserted a vertex: every reader must loop over the schedule's own
+// vertices, not the live graph's — one past its tables would panic — so
+// the base keeps answering with its own values.
+func TestDeltaStaleBaseReaders(t *testing.T) {
+	g := paperex.Fig10()
+	s, err := relsched.Compute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reading struct {
+		sums, maxes [3]int
+		full, rel   int
+		irr         int
+		str         string
+	}
+	read := func() reading {
+		var r reading
+		for i, mode := range allModes {
+			r.sums[i] = s.SumOfMaxOffsets(mode)
+			r.maxes[i] = s.GlobalMaxOffset(mode)
+		}
+		r.full, r.rel, r.irr = s.Info.TotalSizes()
+		r.str = s.Info.String()
+		return r
+	}
+	before := read()
+	next, err := s.Apply(cg.InsertOpEdit("patch", cg.Cycles(2), g.VertexByName("v2"), g.VertexByName("v7")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := read(); after != before {
+		t.Errorf("base readings moved across the insert: %+v, then %+v", before, after)
+	}
+	x := cg.VertexID(g.N() - 1)
+	if _, ok := s.Offset(g.Source(), x, relsched.FullAnchors); ok {
+		t.Error("the base schedule reports an offset for the vertex a newer schedule inserted")
+	}
+	if _, ok := next.Offset(g.Source(), x, relsched.FullAnchors); !ok {
+		t.Error("the new schedule has no offset for the inserted vertex")
+	}
+	agreeWithReference(t, "after insert", next)
+}
+
+// chainEdit draws one edit for TestDeltaInsertChains. An insert is a
+// bounded operation between a vertex and a later one (in topological
+// order) whose anchor set contains the first's, so most inserts apply;
+// the other edits are minimum constraints along the order, maximum
+// constraints, and removals, many of which are refused.
+func chainEdit(rng *rand.Rand, s *relsched.Schedule, insert bool) cg.Edit {
+	g := s.G
+	topo := g.TopoForward()
+	ordered := func() (cg.VertexID, cg.VertexID) {
+		i := rng.Intn(len(topo) - 1)
+		j := i + 1 + rng.Intn(len(topo)-1-i)
+		return topo[i], topo[j]
+	}
+	switch k := rng.Intn(3); {
+	case insert:
+		for try := 0; ; try++ {
+			pred, succ := ordered()
+			if try == 64 || s.Info.Full[pred].SubsetOf(s.Info.Full[succ]) {
+				return cg.InsertOpEdit("", cg.Cycles(rng.Intn(4)), pred, succ)
+			}
+		}
+	case k == 0:
+		u, v := ordered()
+		return cg.AddMinEdit(u, v, rng.Intn(4))
+	case k == 1:
+		u, v := ordered()
+		return cg.AddMaxEdit(u, v, 4+rng.Intn(16))
+	default:
+		return cg.RemoveEdgeEdit(rng.Intn(g.M()))
+	}
+}
+
+// TestDeltaInsertChains is the insert-heavy differential test: edit
+// chains where two edits in five are bounded inserts, at N=40 and N=200.
+// After every edit the schedule must agree with ReferenceCompute of the
+// edited graph on offsets, Full, Relevant and Irredundant, and every
+// refused edit must be refused by ReferenceCompute on a clone too.
+func TestDeltaInsertChains(t *testing.T) {
+	for _, tc := range []struct{ n, seeds, steps int }{{40, 12, 60}, {200, 4, 40}} {
+		cfg := randgraph.Default()
+		cfg.N = tc.n
+		cfg.MinConstraints, cfg.MaxConstraints = tc.n/10, tc.n/10
+		for seed := int64(0); seed < int64(tc.seeds); seed++ {
+			t.Run(fmt.Sprintf("N=%d/seed=%d", tc.n, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				g := randgraph.Generate(cfg, rng)
+				s, err := relsched.Compute(g)
+				if err != nil {
+					t.Skipf("seed graph unschedulable: %v", err)
+				}
+				drawn, applied := 0, 0
+				for step := 0; step < tc.steps; step++ {
+					ed := chainEdit(rng, s, step%5 < 2)
+					label := fmt.Sprintf("step %d (%v)", step, ed.Op)
+					if ed.Op == cg.EditInsertOp {
+						drawn++
+					}
+					gen, m, n := g.Generation(), g.M(), g.N()
+					next, err := s.Apply(ed)
+					if err != nil {
+						if g.Generation() != gen || g.M() != m || g.N() != n {
+							t.Fatalf("%s: refused edit mutated the graph", label)
+						}
+						c := g.Clone()
+						if cerr := c.Freeze(); cerr != nil {
+							t.Fatal(cerr)
+						}
+						if _, cerr := c.ApplyEdit(ed); cerr == nil {
+							if _, cerr = relsched.ReferenceCompute(c); cerr == nil {
+								t.Fatalf("%s: refused with %v, but the reference schedules the edited graph", label, err)
+							}
+						}
+						agreeWithReference(t, label+" after refusal", s)
+						continue
+					}
+					if ed.Op == cg.EditInsertOp {
+						applied++
+					}
+					agreeWithReference(t, label, next)
+					s = next
+				}
+				if drawn*4 < tc.steps {
+					t.Errorf("inserts were %d of %d edits, want at least 25%%", drawn, tc.steps)
+				}
+				if applied*2 < drawn {
+					t.Errorf("only %d of %d inserts applied", applied, drawn)
+				}
+			})
+		}
+	}
+}
+
+// TestInsertAllocs pins the cost of a bounded insert on an N=2000 graph
+// shaped like the whatif-edit workload (200 timing constraints). An insert
+// whose x→succ edge raises no offset grows the tables by one O(|A|)
+// column and O(|V|) of headers, far below the |A|·|V| σ table a cold
+// rebuild allocates. It never reaches the cold pipeline: the hooks see
+// the delta path's single warm-start pass where a cold schedule of this
+// graph reports one sweep per iteration, and every base column stays
+// shared. The insert is measured after a first insert has grown the
+// graph's own slices, which a chain of inserts amortizes.
+func TestInsertAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("N=2000 schedule")
+	}
+	cfg := randgraph.Default()
+	cfg.N, cfg.MinConstraints, cfg.MaxConstraints = 2000, 200, 200
+	rng := rand.New(rand.NewSource(1))
+	var sweeps, readjusts []int
+	hooks := &relsched.Hooks{
+		RelaxationSweep: func(i int) { sweeps = append(sweeps, i) },
+		Readjustment:    func(r int) { readjusts = append(readjusts, r) },
+	}
+	var base *relsched.Schedule
+	for base == nil {
+		g := randgraph.Generate(cfg, rng)
+		if relsched.CheckWellPosed(g) != nil {
+			continue
+		}
+		info, err := relsched.Analyze(g)
+		if err != nil {
+			continue
+		}
+		base, _ = relsched.ComputeFromAnalysisTraced(info, hooks)
+	}
+	if base.Iterations < 2 {
+		t.Fatalf("cold schedule converged in %d iteration; the hook check needs at least 2", base.Iterations)
+	}
+	g, info := base.G, base.Info
+	nA, nV := info.NumAnchors(), g.N()
+	var sites [][2]cg.VertexID
+	for len(sites) < 256 {
+		// randgraph's forward edges run from lower to higher IDs.
+		u := cg.VertexID(1 + rng.Intn(cfg.N-1))
+		v := u + 1 + cg.VertexID(rng.Intn(cfg.N-int(u)))
+		if g.Vertex(u).Delay.Bounded() && info.Full[u].SubsetOf(info.Full[v]) {
+			sites = append(sites, [2]cg.VertexID{u, v})
+		}
+	}
+	// warm is the first insert, which grows the fork's graph slices.
+	warm := func() *relsched.Schedule {
+		f, err := base.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := f.Apply(cg.InsertOpEdit("warm", cg.Cycles(0), sites[0][0], sites[0][1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	var quiet cg.Edit
+	found := false
+	for _, site := range sites[1:] {
+		w := warm()
+		ed := cg.InsertOpEdit("x", cg.Cycles(0), site[0], site[1])
+		if next, err := w.Apply(ed); err == nil && relsched.SharedColumns(w, next) == w.G.N()-1 {
+			quiet, found = ed, true
+			break
+		}
+	}
+	if !found {
+		t.Fatal("no candidate insert leaves every offset in place")
+	}
+	best := uint64(0)
+	for r := 0; r < 5; r++ {
+		w := warm()
+		sweeps, readjusts = nil, nil
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		next, err := w.Apply(quiet)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := relsched.SharedColumns(w, next); got != w.G.N()-1 {
+			t.Fatalf("insert copied %d σ columns", w.G.N()-1-got)
+		}
+		if len(sweeps) != 1 || sweeps[0] != 1 || len(readjusts) != 1 || readjusts[0] != 0 {
+			t.Fatalf("insert fired sweeps %v and readjustments %v, want the single warm-start pass [1] and [0]", sweeps, readjusts)
+		}
+		if b := m1.TotalAlloc - m0.TotalAlloc; r == 0 || b < best {
+			best = b
+		}
+	}
+	table := uint64(nA * nV * 8)
+	t.Logf("|A|=%d |V|=%d: insert allocates %d bytes (%.1f per |A|+|V|); the σ table is %d bytes", nA, nV, best, float64(best)/float64(nA+nV), table)
+	if limit := uint64(256 * (nA + nV)); best > limit {
+		t.Errorf("insert allocates %d bytes, want at most 256·(|A|+|V|) = %d", best, limit)
+	}
+	if best*8 > table {
+		t.Errorf("insert allocates %d bytes, not far below the %d-byte σ table", best, table)
 	}
 }

@@ -123,7 +123,7 @@ func (ex *Explainer) Explain(v cg.VertexID, mode AnchorMode) (*VertexProvenance,
 		if !s.inMode(ai, v, mode) {
 			continue
 		}
-		off := s.rows[ai][v]
+		off := s.cols.col(int(v))[ai]
 		if off == NoOffset {
 			// Anchor-set membership without an offset cannot happen on a
 			// well-posed scheduled graph; guard anyway.
@@ -140,9 +140,9 @@ func (ex *Explainer) Explain(v cg.VertexID, mode AnchorMode) (*VertexProvenance,
 				break
 			}
 		}
-		if sink != cg.None && ex.s.Info.Longest[ai][sink] != cg.Unreachable &&
-			ex.s.Info.Longest[ai][v] != cg.Unreachable && ex.toSink[v] != cg.Unreachable {
-			b.Slack = ex.s.Info.Longest[ai][sink] - ex.s.Info.Longest[ai][v] - ex.toSink[v]
+		// σ is length(a, ·) (Theorem 3), and off is defined here.
+		if sink != cg.None && s.cols.col(int(sink))[ai] != NoOffset && ex.toSink[v] != cg.Unreachable {
+			b.Slack = s.cols.col(int(sink))[ai] - off - ex.toSink[v]
 		}
 		vp.Bindings = append(vp.Bindings, b)
 	}
@@ -179,8 +179,7 @@ func (ex *Explainer) maxConstraints(v cg.VertexID) []MaxConstraintStatus {
 		st := MaxConstraintStatus{EdgeIndex: ei, Other: e.To, U: -e.Weight}
 		margin, any := 0, false
 		for ai := range s.Info.List {
-			row := s.row(ai)
-			ov, oo := row[v], row[e.To]
+			ov, oo := s.cols.col(int(v))[ai], s.cols.col(int(e.To))[ai]
 			if ov == NoOffset || oo == NoOffset {
 				continue
 			}
@@ -212,8 +211,8 @@ func (s *Schedule) bindingChain(ai int, v cg.VertexID) ([]ChainStep, error) {
 	if v == a {
 		return nil, nil
 	}
-	off := s.row(ai)
 	visited := make([]bool, g.N())
+	off := func(u cg.VertexID) int { return s.cols.col(int(u))[ai] }
 	var steps []ChainStep
 	var dfs func(u cg.VertexID) bool
 	dfs = func(u cg.VertexID) bool {
@@ -226,7 +225,7 @@ func (s *Schedule) bindingChain(ai int, v cg.VertexID) ([]ChainStep, error) {
 		visited[u] = true
 		for _, ei := range g.InEdges(u) {
 			e := g.Edge(ei)
-			if off[e.From] == NoOffset || off[e.From]+e.MinWeight() != off[u] {
+			if off(e.From) == NoOffset || off(e.From)+e.MinWeight() != off(u) {
 				continue
 			}
 			if dfs(e.From) {
@@ -245,7 +244,7 @@ func (s *Schedule) bindingChain(ai int, v cg.VertexID) ([]ChainStep, error) {
 	}
 	if !dfs(v) {
 		return nil, fmt.Errorf("relsched: no binding chain from anchor %d to vertex %d for offset %d (offset table inconsistent)",
-			a, v, off[v])
+			a, v, off(v))
 	}
 	return steps, nil
 }

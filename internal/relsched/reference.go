@@ -70,7 +70,9 @@ func ReferenceComputeFromAnalysis(info *AnchorInfo) (*Schedule, error) {
 }
 
 // referenceAnalyze is the seed Analyze: sequential per-anchor Bellman–Ford
-// over Edge structs, no FwdReach table.
+// over Edge structs, whose longest paths feed the irredundant sets — an
+// oracle independent of the σ table the optimized pipeline derives them
+// from.
 func referenceAnalyze(g *cg.Graph) (*AnchorInfo, error) {
 	if err := g.Freeze(); err != nil {
 		return nil, err
@@ -80,22 +82,51 @@ func referenceAnalyze(g *cg.Graph) (*AnchorInfo, error) {
 	}
 	ai := referenceAnchorSets(g)
 	ai.referenceRelevantAnchors()
-	ai.Longest = make([][]int, len(ai.List))
-	ai.Reach = make([][]bool, len(ai.List))
+	longest := make([][]int, len(ai.List))
 	for i, a := range ai.List {
 		d, ok := referenceLongestFrom(g, a)
 		if !ok {
 			return nil, ErrUnfeasible
 		}
-		ai.Longest[i] = d
-		reach := make([]bool, g.N())
-		for v := range d {
-			reach[v] = d[v] != cg.Unreachable
-		}
-		ai.Reach[i] = reach
+		longest[i] = d
 	}
-	ai.irredundantAnchors(ai.Longest)
+	ai.referenceIrredundant(longest)
 	return ai, nil
+}
+
+// referenceIrredundant is the seed minimumAnchor: the Definition 11
+// domination test over the per-anchor longest-path rows, every anchor
+// pair tested. It shares no code with the optimized test the scheduler
+// runs over its σ columns.
+func (ai *AnchorInfo) referenceIrredundant(longest [][]int) {
+	g := ai.G
+	ai.Irredundant = bitset.NewArena(g.N(), len(ai.List))
+	var full []int
+	for v := 0; v < g.N(); v++ {
+		ir := ai.Irredundant[v]
+		ir.CopyFrom(ai.Full[v])
+		full = ai.Full[v].AppendTo(full[:0])
+		for _, qi := range full {
+			q := ai.List[qi]
+			if cg.VertexID(v) == q {
+				continue
+			}
+			for _, xi := range full {
+				if xi == qi || !ai.Full[q].Has(xi) {
+					continue
+				}
+				lxv := longest[xi][v]
+				lxq := longest[xi][q]
+				lqv := longest[qi][v]
+				if lxq == cg.Unreachable || lqv == cg.Unreachable {
+					continue
+				}
+				if lxv <= lxq+lqv {
+					ir.Remove(xi)
+				}
+			}
+		}
+	}
 }
 
 // referenceAnchorSets is the seed anchorSets: topological sweep through the
@@ -260,8 +291,8 @@ func (r *referenceSchedule) initOffsets() {
 }
 
 // referenceReachableForward is the seed recursive forward flood — the
-// per-anchor, per-schedule traversal initOffsets used before FwdReach was
-// hoisted into Analyze. (Graph.ReachableForward now walks the CSR on
+// per-anchor, per-schedule traversal that seeds every forward successor
+// of the anchor at offset 0. (Graph.ReachableForward now walks the CSR on
 // frozen graphs, so the baseline keeps its own copy.)
 func referenceReachableForward(g *cg.Graph, v cg.VertexID) []bool {
 	seen := make([]bool, g.N())
@@ -325,16 +356,22 @@ func (r *referenceSchedule) readjustOffsets(backward []int) int {
 	return raised
 }
 
-// toSchedule copies the row table into a flat-arena Schedule so the result
-// is directly comparable (EqualOffsets, Offset, renderers) with the
-// optimized pipeline's output.
+// toSchedule copies the row table into a vertex-major Schedule so the
+// result is directly comparable (EqualOffsets, Offset, renderers) with the
+// optimized pipeline's output. An analysis from Analyze carries no
+// irredundant sets; they are then derived from the reference offsets.
 func (r *referenceSchedule) toSchedule() *Schedule {
 	g := r.info.G
-	s := &Schedule{G: g, Info: r.info, Iterations: r.iterations, nV: g.N()}
-	s.off = make([]int, len(r.info.List)*g.N())
-	s.bindRows(len(r.info.List))
-	for ai := range r.off {
-		copy(s.row(ai), r.off[ai])
+	nA, nV := len(r.info.List), g.N()
+	off := make([]int, nA*nV)
+	for ai, row := range r.off {
+		for v, o := range row {
+			off[v*nA+ai] = o
+		}
+	}
+	s := &Schedule{G: g, Info: r.info, Iterations: r.iterations, cols: bindCols(off, nA, nV), gen: g.Generation()}
+	if r.info.Irredundant == nil {
+		s.Info = r.info.withIrredundant(s.cols)
 	}
 	return s
 }

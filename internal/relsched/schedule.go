@@ -53,19 +53,17 @@ type Schedule struct {
 	// scheduler used; Theorem 8 bounds it by L+1 ≤ |E_b|+1.
 	Iterations int
 
-	// off is the σ table as one flat arena: off[ai*nV+v] is σ_a(v) for
-	// anchor index ai, or NoOffset. A single allocation (pooled while the
-	// scheduler is still iterating) replaces the per-anchor [][]int rows
-	// the seed implementation kept — see docs/PERFORMANCE.md. Cold-path
-	// only: schedules derived by Apply leave off nil and carry rows alone.
-	off []int
-	// rows holds the per-anchor σ row views all readers go through. A cold
-	// compute slices them out of the off arena (bindRows); Apply shares
-	// the base schedule's rows and replaces only the ones an edit actually
-	// raises (row-granular copy-on-write — see docs/INCREMENTAL.md), so a
-	// delta's cost is proportional to its cone, not the table size.
-	rows [][]int
-	nV   int
+	// cols is the σ table, stored by vertex (see sigmaTable). A cold
+	// compute carves every column out of one flat vertex-major arena —
+	// a single allocation, pooled while the scheduler is still iterating;
+	// see docs/PERFORMANCE.md. Apply shares the base schedule's columns,
+	// replaces only those of the vertices whose offsets an edit moves, and
+	// grows the table by one column for an inserted vertex
+	// (column-granular copy-on-write — see docs/INCREMENTAL.md), so a
+	// delta's cost is proportional to its cone, not to the table size.
+	// cols.n is the schedule's own vertex count; once a newer schedule in
+	// the delta chain inserts a vertex, the live graph has more.
+	cols sigmaTable
 
 	// hooks are the trace hooks the schedule was computed with. Derived
 	// schedules (Apply, the WithMax/WithMinConstraint probes) inherit
@@ -80,28 +78,51 @@ type Schedule struct {
 	gen uint64
 }
 
-// row returns the σ_a(·) row of anchor index ai.
-func (s *Schedule) row(ai int) []int { return s.rows[ai] }
+// sigmaChunkBits sets how many σ columns share one chunk of headers in a
+// sigmaTable: 1<<8.
+const sigmaChunkBits = 8
 
-// bindRows slices the flat arena into the per-anchor row views. Every
-// cold construction calls this right after allocating off; delta-derived
-// schedules build rows by copy-on-write instead and never bind an arena.
-func (s *Schedule) bindRows(nA int) {
-	s.rows = make([][]int, nA)
-	for ai := range s.rows {
-		s.rows[ai] = s.off[ai*s.nV : (ai+1)*s.nV]
+// sigmaTable is the σ table stored by vertex: col(v)[ai] is σ_a(v) for
+// anchor index ai, or NoOffset. The column headers sit in chunks of
+// 1<<sigmaChunkBits, so the copy-on-write of one column copies the
+// column, its chunk of headers and the chunk index — O(|A| + 256 +
+// |V|/256) — instead of one header per vertex of the graph.
+type sigmaTable struct {
+	chunks [][][]int
+	n      int
+}
+
+// col returns vertex v's column.
+func (t sigmaTable) col(v int) []int {
+	return t.chunks[v>>sigmaChunkBits][v&(1<<sigmaChunkBits-1)]
+}
+
+// bindCols slices a flat vertex-major arena of nV·nA offsets into the
+// per-vertex σ columns. Each column's capacity ends at its own length, so
+// no append through one column can write into the next.
+func bindCols(off []int, nA, nV int) sigmaTable {
+	hdr := make([][]int, nV)
+	for v := range hdr {
+		hdr[v] = off[v*nA : (v+1)*nA : (v+1)*nA]
 	}
+	t := sigmaTable{chunks: make([][][]int, (nV+1<<sigmaChunkBits-1)>>sigmaChunkBits), n: nV}
+	for k := range t.chunks {
+		lo, hi := k<<sigmaChunkBits, min((k+1)<<sigmaChunkBits, nV)
+		t.chunks[k] = hdr[lo:hi:hi]
+	}
+	return t
 }
 
 // Offset returns the minimum offset σ_a(v) of vertex v with respect to
 // anchor a (Definition 5) under the given mode. ok is false when a is not in v's anchor
-// set for that mode (or a is not an anchor at all).
+// set for that mode, a is not an anchor at all, or v is a vertex a newer
+// schedule of the delta chain inserted.
 func (s *Schedule) Offset(a, v cg.VertexID, mode AnchorMode) (offset int, ok bool) {
 	ai, isAnchor := s.Info.Index[a]
-	if !isAnchor || !s.inMode(ai, v, mode) {
+	if !isAnchor || int(v) >= s.cols.n || !s.inMode(ai, v, mode) {
 		return 0, false
 	}
-	return s.rows[ai][v], true
+	return s.cols.col(int(v))[ai], true
 }
 
 func (s *Schedule) inMode(ai int, v cg.VertexID, mode AnchorMode) bool {
@@ -123,14 +144,13 @@ func (s *Schedule) MaxOffset(a cg.VertexID, mode AnchorMode) (int, bool) {
 	if !isAnchor {
 		return 0, false
 	}
-	row := s.row(ai)
 	maxOff, any := 0, false
-	for v := 0; v < s.G.N(); v++ {
+	for v := 0; v < s.cols.n; v++ {
 		if !s.inMode(ai, cg.VertexID(v), mode) {
 			continue
 		}
 		any = true
-		if o := row[v]; o > maxOff {
+		if o := s.cols.col(v)[ai]; o > maxOff {
 			maxOff = o
 		}
 	}
@@ -214,7 +234,7 @@ func ComputeWellPosed(g *cg.Graph) (sched *Schedule, added int, err error) {
 // false while no path from the anchor has valued v yet (or none exists).
 // σ_a(a) is normalized to 0.
 func (s *Schedule) sigma(ai int, v cg.VertexID) (int, bool) {
-	if o := s.rows[ai][v]; o != NoOffset {
+	if o := s.cols.col(int(v))[ai]; o != NoOffset {
 		return o, true
 	}
 	return 0, false
@@ -238,7 +258,7 @@ type scratch struct {
 var schedulePool = sync.Pool{New: func() any { return new(scratch) }}
 
 // offsets returns a length-n arena, reusing the pooled allocation when its
-// capacity suffices. Contents are undefined; initOffsets overwrites every
+// capacity suffices. Contents are undefined; seedOffsets overwrites every
 // entry.
 func (sc *scratch) offsets(n int) []int {
 	if cap(sc.off) < n {
@@ -262,110 +282,95 @@ func (sc *scratch) bitset(n int) []uint64 {
 }
 
 // schedule runs iterative incremental scheduling (§IV-E) against the full
-// anchor sets in info. The graph must already be known well-posed. The
-// hook (nilable) observes each relaxation sweep and readjustment pass.
+// anchor sets in info, then completes the analysis with the irredundant
+// sets the converged offsets define. The graph must already be known
+// well-posed. The hook (nilable) observes each relaxation sweep and
+// readjustment pass.
 func schedule(info *AnchorInfo, h *Hooks) (*Schedule, error) {
 	g := info.G
-	s := &Schedule{G: g, Info: info, nV: g.N(), hooks: h, gen: g.Generation()}
+	if g.CSR() == nil {
+		// Defensive: every analysis path freezes first, but a
+		// hand-constructed AnchorInfo might not have.
+		if err := g.Freeze(); err != nil {
+			return nil, err
+		}
+	}
+	c := g.CSR()
+	nA, nV := len(info.List), g.N()
+	wpa := (nA + 63) / 64 // active-bitset words per vertex
 	sc := schedulePool.Get().(*scratch)
-	s.off = sc.offsets(len(info.List) * g.N())
-	s.bindRows(len(info.List))
-	s.initOffsets()
-	err := s.solve(h, sc)
+	off := sc.offsets(nA * nV)
+	active := sc.bitset(nV * wpa)
+	seedOffsets(off, active, info)
+	iters, err := solve(c, off, nA, active, h)
 	if err != nil {
 		schedulePool.Put(sc) // arena included: the failed table is discarded
 		return nil, err
 	}
 	sc.off = nil // the Schedule now owns the arena
 	schedulePool.Put(sc)
+	s := &Schedule{G: g, Iterations: iters, cols: bindCols(off, nA, nV), hooks: h, gen: g.Generation()}
+	s.Info = info.withIrredundant(s.cols)
 	return s, nil
 }
 
-// initOffsets fills the offset arena: σ_a(v) starts at 0 for the anchor
-// and its forward successors (Definition 3's V_a, where the minimum offset
-// is never negative) and at the NoOffset sentinel elsewhere. Entries that
-// are reachable only through backward edges acquire values during
-// readjustment; entries unreachable from the anchor are never written.
-// Forward reachability comes from the analysis (AnchorInfo.FwdReach,
-// computed once in Analyze) instead of a per-schedule graph traversal.
-func (s *Schedule) initOffsets() {
-	for ai := 0; ai < len(s.Info.List); ai++ {
-		row := s.row(ai)
-		fwd := s.Info.fwdReach(ai)
-		for v := range row {
-			if fwd[v] {
-				row[v] = 0
-			} else {
-				row[v] = NoOffset
-			}
-		}
+// seedOffsets fills a zeroed-bitset arena for a cold solve: σ_a(a) = 0
+// for every anchor, with its active bit, and NoOffset everywhere else.
+// The first forward sweep then values every forward successor of a
+// (Definition 3's V_a) in topological order, at or above the offset-0
+// floor the paper states for V_a, since forward weights are never
+// negative; entries reachable only through backward edges acquire values
+// during readjustment, and entries unreachable from the anchor are never
+// written.
+func seedOffsets(off []int, active []uint64, info *AnchorInfo) {
+	nA := len(info.List)
+	wpa := (nA + 63) / 64
+	for i := range off {
+		off[i] = NoOffset
+	}
+	for ai, a := range info.List {
+		off[int(a)*nA+ai] = 0
+		active[int(a)*wpa+(ai>>6)] |= uint64(1) << uint(ai&63)
 	}
 }
 
 // solve iterates IncrementalOffset relaxation sweeps and ReadjustOffset
-// passes until convergence or the |E_b|+1 bound of Theorem 8, mutating the
-// receiver's offset arena in place. Offsets only ever increase, so warm
-// starts (reschedule) are sound (Lemma 8).
+// passes over the vertex-major arena off until convergence or the
+// |E_b|+1 bound of Theorem 8, returning the iterations used. Offsets only
+// ever increase, so warm starts are sound (Lemma 8).
 //
 // Each sweep is one pass over the topo-ordered forward edge arrays,
 // visiting at each edge only the anchors with a defined offset at the
 // tail, via a per-vertex active-anchor bitset — sparse anchor sets skip
 // the |A|-wide inner loop.
-func (s *Schedule) solve(h *Hooks, sc *scratch) error {
-	g := s.G
-	if g.CSR() == nil {
-		// Defensive: every analysis path freezes first, but a
-		// hand-constructed AnchorInfo might not have.
-		if err := g.Freeze(); err != nil {
-			return err
-		}
-	}
-	c := g.CSR()
+func solve(c *cg.CSR, off []int, nA int, active []uint64, h *Hooks) (int, error) {
 	maxIter := len(c.BwdFrom) + 1
-	wpa := (len(s.Info.List) + 63) / 64 // active-bitset words per vertex
-	active := sc.bitset(g.N() * wpa)
-	s.buildActive(active, wpa)
 	for iter := 1; iter <= maxIter; iter++ {
-		s.sweepForward(c, active, wpa)
-		s.Iterations = iter
+		sweepForward(c, off, nA, active)
 		h.relaxationSweep(iter)
-		raised := s.readjust(c, active, wpa)
+		raised := readjust(c, off, nA, active)
 		h.readjustment(raised)
 		if raised == 0 {
-			return nil
+			return iter, nil
 		}
 	}
-	return ErrInconsistent
-}
-
-// buildActive derives the per-vertex active-anchor bitset from the current
-// arena: bit ai of vertex v is set exactly when σ_a(v) is defined. Derived
-// from values (not FwdReach) so warm-started tables are covered too.
-func (s *Schedule) buildActive(active []uint64, wpa int) {
-	for ai := 0; ai < len(s.Info.List); ai++ {
-		row := s.row(ai)
-		word := uint64(1) << uint(ai&63)
-		wi := ai >> 6
-		for v, o := range row {
-			if o != NoOffset {
-				active[v*wpa+wi] |= word
-			}
-		}
-	}
+	return maxIter, ErrInconsistent
 }
 
 // sweepForward is one IncrementalOffset relaxation sweep: the
 // topo-ordered forward edges are scanned once, and at each edge only the
-// anchors active at the tail are relaxed. A head entry leaving NoOffset
-// activates its bit so later edges in the same sweep observe it (the
-// forward edge list is sorted by tail rank, so the head's out-edges always
-// come later).
-func (s *Schedule) sweepForward(c *cg.CSR, active []uint64, wpa int) {
-	off, nV := s.off, s.nV
+// anchors active at the tail are relaxed, from the tail's σ column into
+// the head's. A head entry leaving NoOffset activates its bit so later
+// edges in the same sweep observe it (the forward edge list is sorted by
+// tail rank, so the head's out-edges always come later).
+func sweepForward(c *cg.CSR, off []int, nA int, active []uint64) {
+	wpa := (nA + 63) / 64
 	for k := range c.TopoFrom {
 		p := int(c.TopoFrom[k])
 		to := int(c.TopoTo[k])
 		w := c.TopoW[k]
+		pc := off[p*nA : (p+1)*nA]
+		tc := off[to*nA : (to+1)*nA]
 		base := p * wpa
 		toBase := to * wpa
 		for wi := 0; wi < wpa; wi++ {
@@ -374,9 +379,9 @@ func (s *Schedule) sweepForward(c *cg.CSR, active []uint64, wpa int) {
 				b := bits.TrailingZeros64(word)
 				word &= word - 1
 				ai := wi<<6 | b
-				cur := off[ai*nV+to]
-				if d := off[ai*nV+p] + w; d > cur {
-					off[ai*nV+to] = d
+				cur := tc[ai]
+				if d := pc[ai] + w; d > cur {
+					tc[ai] = d
 					if cur == NoOffset {
 						active[toBase+wi] |= uint64(1) << uint(b)
 					}
@@ -391,13 +396,15 @@ func (s *Schedule) sweepForward(c *cg.CSR, active []uint64, wpa int) {
 // the number of raises (0 = converged). A head at the NoOffset sentinel is
 // reachable only through backward edges and acquires its first value (and
 // active bit) here.
-func (s *Schedule) readjust(c *cg.CSR, active []uint64, wpa int) int {
-	off, nV := s.off, s.nV
+func readjust(c *cg.CSR, off []int, nA int, active []uint64) int {
+	wpa := (nA + 63) / 64
 	raised := 0
 	for k := range c.BwdFrom {
 		tail := int(c.BwdFrom[k])
 		head := int(c.BwdTo[k])
 		w := c.BwdW[k] // -u ≤ 0
+		tc := off[tail*nA : (tail+1)*nA]
+		hc := off[head*nA : (head+1)*nA]
 		base := tail * wpa
 		headBase := head * wpa
 		for wi := 0; wi < wpa; wi++ {
@@ -406,9 +413,9 @@ func (s *Schedule) readjust(c *cg.CSR, active []uint64, wpa int) int {
 				b := bits.TrailingZeros64(word)
 				word &= word - 1
 				ai := wi<<6 | b
-				cur := off[ai*nV+head]
-				if d := off[ai*nV+tail] + w; d > cur {
-					off[ai*nV+head] = d
+				cur := hc[ai]
+				if d := tc[ai] + w; d > cur {
+					hc[ai] = d
 					if cur == NoOffset {
 						active[headBase+wi] |= uint64(1) << uint(b)
 					}

@@ -45,20 +45,19 @@ func (s *Schedule) ComputeSlack() *SlackInfo {
 	// graph; reuse LongestFrom by scanning from every vertex is O(V·E),
 	// so instead run a single reverse Bellman-Ford.
 	toSink := reverseLongestTo(g, sink)
-	for ai, a := range s.Info.List {
-		dist, ok := g.LongestFrom(a)
-		if !ok {
+	// σ_a(v) is length(a, v) (Theorem 3), so the offsets supply the
+	// anchor-side lengths; NoOffset marks the vertices a cannot reach.
+	for ai := range s.Info.List {
+		sinkDist := s.cols.col(int(sink))[ai]
+		if sinkDist == NoOffset {
 			continue
 		}
-		sinkDist := dist[sink]
-		if sinkDist == cg.Unreachable {
-			continue
-		}
-		for v := 0; v < g.N(); v++ {
-			if !s.Info.Reach[ai][v] || dist[v] == cg.Unreachable || toSink[v] == cg.Unreachable {
+		for v := 0; v < s.cols.n; v++ {
+			d := s.cols.col(v)[ai]
+			if d == NoOffset || toSink[v] == cg.Unreachable {
 				continue
 			}
-			if sl := sinkDist - dist[v] - toSink[v]; sl < out.Slack[v] {
+			if sl := sinkDist - d - toSink[v]; sl < out.Slack[v] {
 				out.Slack[v] = sl
 			}
 		}

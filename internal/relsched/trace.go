@@ -36,29 +36,31 @@ func ComputeTrace(g *cg.Graph) (*Schedule, *Trace, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	nA := len(info.List)
-	s := &Schedule{G: g, Info: info, nV: g.N()}
-	s.off = make([]int, nA*g.N()) // unpooled: snapshots alias-copy rows anyway
-	s.bindRows(nA)
-	s.initOffsets()
+	nA, nV := len(info.List), g.N()
+	off := make([]int, nA*nV) // unpooled: the returned schedule owns it
+	active := make([]uint64, nV*((nA+63)/64))
+	seedOffsets(off, active, info)
 	tr := &Trace{Info: info}
 	snapshot := func(iter int, readjust bool) {
 		cp := make([][]int, nA)
-		for ai := 0; ai < nA; ai++ {
-			cp[ai] = append([]int(nil), s.row(ai)...)
+		for ai := range cp {
+			row := make([]int, nV)
+			for v := range row {
+				row[v] = off[v*nA+ai]
+			}
+			cp[ai] = row
 		}
 		tr.Phases = append(tr.Phases, TracePhase{Iteration: iter, Readjust: readjust, Off: cp})
 	}
 	csr := g.CSR()
 	maxIter := len(csr.BwdFrom) + 1
-	wpa := (nA + 63) / 64
-	active := make([]uint64, g.N()*wpa)
-	s.buildActive(active, wpa)
 	for c := 1; c <= maxIter; c++ {
-		s.sweepForward(csr, active, wpa)
-		s.Iterations = c
+		sweepForward(csr, off, nA, active)
 		snapshot(c, false)
-		if s.readjust(csr, active, wpa) == 0 {
+		if readjust(csr, off, nA, active) == 0 {
+			s := &Schedule{G: g, Iterations: c, cols: bindCols(off, nA, nV), gen: g.Generation()}
+			s.Info = info.withIrredundant(s.cols)
+			tr.Info = s.Info
 			return s, tr, nil
 		}
 		snapshot(c, true)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -8,6 +9,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/cg"
+	"repro/internal/cgio"
+	"repro/internal/relsched"
 )
 
 // patchJob PATCHes body to /v1/jobs/{id}+query and returns the response.
@@ -299,5 +305,128 @@ func TestJobPatchSharedCacheIsolation(t *testing.T) {
 	third := submitAndWait(t, ts, "third")
 	if third.Offsets != right.Offsets {
 		t.Error("patched fork leaked into the engine cache entry")
+	}
+}
+
+// subscribeEvents opens /v1/events and returns the channel of parsed
+// frames once the stream is open; it closes when the server drains.
+func subscribeEvents(t *testing.T, ts *httptest.Server) <-chan sseEvent {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/v1/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/events = %d", resp.StatusCode)
+	}
+	ready := make(chan struct{})
+	out := make(chan sseEvent, 64)
+	go readSSE(resp, ready, out)
+	select {
+	case <-ready:
+	case <-time.After(5 * time.Second):
+		t.Fatal("SSE stream never opened")
+	}
+	return out
+}
+
+// drainEvents drains the server and counts the patched events the stream
+// carried for job id.
+func drainEvents(t *testing.T, s *Server, out <-chan sseEvent, id string) (patched, edits int) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for se := range out {
+		if se.ev.Type == EventPatched && se.ev.Job == id {
+			patched++
+			edits += se.ev.Edits
+		}
+	}
+	return patched, edits
+}
+
+// TestJobPatchInsertOpOneEvent pins one PATCH to exactly one patched
+// event: splicing in an operation with insert_op publishes a single
+// patched event on /v1/events, and the offsets the job then reports, in
+// every mode, are ReferenceCompute's for the job's graph rebuilt with the
+// same edit.
+func TestJobPatchInsertOpOneEvent(t *testing.T) {
+	s := testServer(t, 1, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	submitAndWait(t, ts, "ins")
+	out := subscribeEvents(t, ts)
+
+	v := decodeView(t, patchJob(t, ts, "ins", "",
+		`{"edits":[{"op":"insert_op","name":"x","delay":2,"pred":"a","succ":"b"}]}`), http.StatusOK)
+	if v.Patches != 1 {
+		t.Errorf("patches = %d, want 1", v.Patches)
+	}
+
+	g, err := cgio.ParseString(simpleCG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.ApplyEdit(cg.InsertOpEdit("x", cg.Cycles(2), g.VertexByName("a"), g.VertexByName("b"))); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := relsched.ReferenceCompute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []relsched.AnchorMode{relsched.FullAnchors, relsched.RelevantAnchors, relsched.IrredundantAnchors} {
+		var want bytes.Buffer
+		if err := cgio.WriteOffsets(&want, ref, mode); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/ins?mode=" + mode.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := decodeView(t, resp, http.StatusOK); got.Offsets != want.String() {
+			t.Errorf("mode %v: offsets after insert_op\n%s\nReferenceCompute of the rebuilt graph\n%s", mode, got.Offsets, want.String())
+		}
+	}
+
+	if patched, edits := drainEvents(t, s, out, "ins"); patched != 1 || edits != 1 {
+		t.Errorf("one insert_op PATCH yielded %d patched events carrying %d edits, want exactly 1 and 1", patched, edits)
+	}
+}
+
+// TestJobPatchRefusedWhole: a two-edit PATCH whose second edit fails is
+// refused as a whole. The insert_op that comes first makes σ(b) ≥ σ(a)+3,
+// so add_max a b 2 closes a positive cycle; the job keeps no trace of the
+// insert — no new vertex in its table, no patched event, patches still 0.
+func TestJobPatchRefusedWhole(t *testing.T) {
+	s := testServer(t, 1, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	before := submitAndWait(t, ts, "whole")
+	out := subscribeEvents(t, ts)
+
+	e := decodeErr(t, patchJob(t, ts, "whole", "", `{"edits":[
+		{"op":"insert_op","name":"x","delay":2,"pred":"a","succ":"b"},
+		{"op":"add_max","from":"a","to":"b","weight":2}]}`), http.StatusUnprocessableEntity)
+	if e.Reason != "unfeasible" {
+		t.Errorf("reason = %q, want unfeasible", e.Reason)
+	}
+	after := getJob(t, ts, "whole")
+	if after.Patches != 0 || after.Offsets != before.Offsets {
+		t.Errorf("refused PATCH changed the job: patches=%d, offsets\n%s\nwant\n%s", after.Patches, after.Offsets, before.Offsets)
+	}
+	for _, row := range strings.Split(after.Offsets, "\n") {
+		if f := strings.Fields(row); len(f) > 0 && f[0] == "x" {
+			t.Errorf("the refused insert's vertex is in the offset table:\n%s", after.Offsets)
+		}
+	}
+
+	if patched, _ := drainEvents(t, s, out, "whole"); patched != 0 {
+		t.Errorf("refused PATCH published %d patched events, want 0", patched)
 	}
 }

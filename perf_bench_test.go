@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/cg"
@@ -174,6 +175,52 @@ func BenchmarkFullRecompute(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := relsched.Compute(g); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDeltaInsert measures one bounded operation insert through
+// Schedule.Apply on an N=2000 random graph with 200 timing constraints —
+// the whatif-edit shape. Each insert splices a fresh operation between a
+// bounded vertex u and a later vertex v with A(u) ⊆ A(v), so no anchor
+// set changes; every 64 inserts the chain restarts from a fork of the
+// cold schedule (untimed) so the graph stays near its starting size.
+func BenchmarkDeltaInsert(b *testing.B) {
+	cfg := randgraph.Default()
+	cfg.N, cfg.MinConstraints, cfg.MaxConstraints = 2000, 200, 200
+	rng := rand.New(rand.NewSource(1))
+	var base *relsched.Schedule
+	for base == nil {
+		s, err := relsched.Compute(randgraph.Generate(cfg, rng))
+		if err == nil {
+			base = s
+		}
+	}
+	g, info := base.G, base.Info
+	var sites [][2]cg.VertexID
+	for len(sites) < 512 {
+		u := cg.VertexID(1 + rng.Intn(cfg.N-1))
+		v := u + 1 + cg.VertexID(rng.Intn(cfg.N-int(u)))
+		if g.Vertex(u).Delay.Bounded() && info.Full[u].SubsetOf(info.Full[v]) {
+			sites = append(sites, [2]cg.VertexID{u, v})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cur *relsched.Schedule
+	for i := 0; i < b.N; i++ {
+		if i%64 == 0 {
+			b.StopTimer()
+			f, err := base.Fork()
+			if err != nil {
+				b.Fatal(err)
+			}
+			cur = f
+			b.StartTimer()
+		}
+		site := sites[i%len(sites)]
+		if next, err := cur.Apply(cg.InsertOpEdit("", cg.Cycles(i%4), site[0], site[1])); err == nil {
+			cur = next
 		}
 	}
 }
