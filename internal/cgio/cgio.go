@@ -12,7 +12,8 @@
 //	max <from> <to> <u>       maximum timing constraint σ(to) ≤ σ(from)+u
 //
 // The source vertex v0 exists implicitly; vertices must be declared before
-// they are referenced.
+// they are referenced. Names are valid UTF-8 without whitespace or '#', and
+// no directive joins a vertex to itself.
 package cgio
 
 import (
@@ -22,6 +23,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/cg"
 )
@@ -70,6 +72,12 @@ func Parse(r io.Reader) (*cg.Graph, error) {
 				return nil, &ParseError{lineNo, "vertex wants: vertex <name> unbounded|delay=<n>"}
 			}
 			name := fields[1]
+			// Names reach tables and JSON; 0xff and other bytes that are
+			// not UTF-8 would misalign the first and turn into U+FFFD in
+			// the second, where no edit could name the vertex back.
+			if !utf8.ValidString(name) {
+				return nil, &ParseError{lineNo, fmt.Sprintf("vertex name %q is not valid UTF-8", name)}
+			}
 			if _, dup := byName[name]; dup {
 				return nil, &ParseError{lineNo, fmt.Sprintf("duplicate vertex %q", name)}
 			}
@@ -102,6 +110,9 @@ func Parse(r io.Reader) (*cg.Graph, error) {
 			to, err := lookup(lineNo, fields[2])
 			if err != nil {
 				return nil, err
+			}
+			if from == to {
+				return nil, &ParseError{lineNo, fmt.Sprintf("%s from %q to itself", fields[0], fields[1])}
 			}
 			switch fields[0] {
 			case "seq":

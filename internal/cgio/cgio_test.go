@@ -2,6 +2,7 @@ package cgio
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -94,10 +95,19 @@ func TestParseErrors(t *testing.T) {
 		{"duplicate vertex", "vertex x delay=1\nvertex x delay=2"},
 		{"min arity", "vertex x delay=1\nseq v0 x\nmin v0 x"},
 		{"bad bound", "vertex x delay=1\nseq v0 x\nmax v0 x -2"},
+		{"self edge", "vertex x delay=1\nseq v0 x\nseq x x"},
+		{"self constraint", "vertex x delay=1\nseq v0 x\nmin x x 0"},
 	} {
 		if _, err := ParseString(tc.text); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
+	}
+	// A name that is not UTF-8 is refused with the line it is on: 0xff is
+	// tabwriter's escape byte, and JSON would turn it into U+FFFD.
+	_, err := ParseString("vertex a delay=1\nvertex a\xffb delay=1\nseq v0 a")
+	var pe *ParseError
+	if !errors.As(err, &pe) || pe.Line != 2 || !strings.Contains(pe.Msg, "UTF-8") {
+		t.Errorf("invalid UTF-8 name: got %v, want a line 2 ParseError about UTF-8", err)
 	}
 	// Structural validation also runs: unreachable vertex.
 	if _, err := ParseString("vertex x delay=1\nvertex y delay=1\nseq v0 x"); err == nil {

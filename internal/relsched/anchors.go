@@ -54,6 +54,19 @@ func (ai *AnchorInfo) RelevantSet(v cg.VertexID) []cg.VertexID { return ai.ids(a
 // as a sorted vertex-ID slice.
 func (ai *AnchorInfo) IrredundantSet(v cg.VertexID) []cg.VertexID { return ai.ids(ai.Irredundant[v]) }
 
+// Sets returns the per-vertex anchor sets of the mode: Full, Relevant or
+// Irredundant.
+func (ai *AnchorInfo) Sets(mode AnchorMode) []bitset.Set {
+	switch mode {
+	case FullAnchors:
+		return ai.Full
+	case RelevantAnchors:
+		return ai.Relevant
+	default:
+		return ai.Irredundant
+	}
+}
+
 func (ai *AnchorInfo) ids(s bitset.Set) []cg.VertexID {
 	var out []cg.VertexID
 	s.ForEach(func(i int) { out = append(out, ai.List[i]) })

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/cg"
+	"repro/internal/cgio"
 	"repro/internal/paperex"
 	"repro/internal/randgraph"
 	"repro/internal/relsched"
@@ -307,6 +309,7 @@ func TestDeltaStaleBaseReaders(t *testing.T) {
 	}
 	type reading struct {
 		sums, maxes [3]int
+		tables      [3]string
 		full, rel   int
 		irr         int
 		str         string
@@ -316,6 +319,11 @@ func TestDeltaStaleBaseReaders(t *testing.T) {
 		for i, mode := range allModes {
 			r.sums[i] = s.SumOfMaxOffsets(mode)
 			r.maxes[i] = s.GlobalMaxOffset(mode)
+			var b strings.Builder
+			if err := cgio.WriteOffsets(&b, s, mode); err != nil {
+				t.Fatal(err)
+			}
+			r.tables[i] = b.String()
 		}
 		r.full, r.rel, r.irr = s.Info.TotalSizes()
 		r.str = s.Info.String()

@@ -119,21 +119,29 @@ func bindCols(off []int, nA, nV int) sigmaTable {
 // schedule of the delta chain inserted.
 func (s *Schedule) Offset(a, v cg.VertexID, mode AnchorMode) (offset int, ok bool) {
 	ai, isAnchor := s.Info.Index[a]
-	if !isAnchor || int(v) >= s.cols.n || !s.inMode(ai, v, mode) {
+	if !isAnchor {
+		return 0, false
+	}
+	return s.OffsetAt(ai, v, mode)
+}
+
+// OffsetAt is Offset with the anchor given by its index in Info.List,
+// which spares a per-call map lookup to readers that walk the anchors in
+// order. ai must index Info.List.
+func (s *Schedule) OffsetAt(ai int, v cg.VertexID, mode AnchorMode) (offset int, ok bool) {
+	if int(v) >= s.cols.n || !s.inMode(ai, v, mode) {
 		return 0, false
 	}
 	return s.cols.col(int(v))[ai], true
 }
 
+// NumVertices returns the number of vertices the schedule covers. It
+// equals G.N() until a newer schedule of the delta chain inserts a vertex
+// into the shared graph; readers that walk vertices stop here.
+func (s *Schedule) NumVertices() int { return s.cols.n }
+
 func (s *Schedule) inMode(ai int, v cg.VertexID, mode AnchorMode) bool {
-	switch mode {
-	case FullAnchors:
-		return s.Info.Full[v].Has(ai)
-	case RelevantAnchors:
-		return s.Info.Relevant[v].Has(ai)
-	default:
-		return s.Info.Irredundant[v].Has(ai)
-	}
+	return s.Info.Sets(mode)[v].Has(ai)
 }
 
 // MaxOffset returns σ_a^max — the maximum offset of any vertex with

@@ -272,9 +272,6 @@ func (s *Server) handleJobPatch(w http.ResponseWriter, r *http.Request, id strin
 	rec.result.Info = next.Info
 	rec.result.Graph = next.G
 	rec.patches += len(edits)
-	// The pre-rendered offset table belongs to the unpatched schedule;
-	// drop it so views re-render from the edited graph.
-	rec.preOffsets = ""
 	s.storeMu.Unlock()
 	rec.renderMu.Unlock()
 

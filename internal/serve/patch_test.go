@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cg"
 	"repro/internal/cgio"
+	"repro/internal/cgio/cgiotest"
 	"repro/internal/relsched"
 )
 
@@ -428,5 +431,69 @@ func TestJobPatchRefusedWhole(t *testing.T) {
 
 	if patched, _ := drainEvents(t, s, out, "whole"); patched != 0 {
 		t.Errorf("refused PATCH published %d patched events, want 0", patched)
+	}
+}
+
+// TestJobBodiesMatchReferenceTable pins the bytes a client receives now
+// that GET and PATCH render the offset table on each request: in every
+// mode, the body equals writeJSON of the job's view holding the tabwriter
+// oracle's table for the job's current schedule, a repeated GET returns
+// the same bytes, and so does a PATCH response for the edited schedule.
+func TestJobBodiesMatchReferenceTable(t *testing.T) {
+	src, err := os.ReadFile("../../examples/gcd/gcd.cg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := testServer(t, 1, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body, _ := json.Marshal(JobRequest{ID: "gcd", Source: string(src)})
+	decodeJobs(t, postJobs(t, ts, "", "application/json", string(body)))
+	waitFor(t, "job gcd done", func() bool { return getJob(t, ts, "gcd").Status == StatusDone })
+	rec, _ := s.job("gcd")
+
+	// want is the body writeJSON gives for the job's view with the
+	// oracle's table of its current schedule.
+	want := func(mode relsched.AnchorMode) string {
+		v := s.view(rec, mode, false)
+		v.Offsets = cgiotest.ReferenceString(rec.result.Schedule, mode)
+		w := httptest.NewRecorder()
+		writeJSON(w, http.StatusOK, v)
+		return w.Body.String()
+	}
+	read := func(resp *http.Response) string {
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d; body: %s", resp.StatusCode, b)
+		}
+		return string(b)
+	}
+	modes := []relsched.AnchorMode{relsched.FullAnchors, relsched.RelevantAnchors, relsched.IrredundantAnchors}
+	for _, mode := range modes {
+		for i := 0; i < 2; i++ {
+			resp, err := ts.Client().Get(ts.URL + "/v1/jobs/gcd?mode=" + mode.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := read(resp), want(mode); got != want {
+				t.Errorf("GET %d, mode %v: body\n%s\nwant\n%s", i+1, mode, got, want)
+			}
+		}
+	}
+	for i, mode := range modes {
+		edit := fmt.Sprintf(`{"edits":[{"op":"add_min","from":"read_xin","to":"if","weight":%d}]}`, 2+i)
+		got := read(patchJob(t, ts, "gcd", "?mode="+mode.String(), edit))
+		if want := want(mode); got != want {
+			t.Errorf("PATCH, mode %v: body\n%s\nwant\n%s", mode, got, want)
+		}
+	}
+	// The last edit, add_min read_xin if 4, puts if at σ_while = 1+4.
+	table := getJob(t, ts, "gcd").Offsets
+	if !strings.Contains(table, "\nif ") || strings.Fields(table[strings.Index(table, "\nif "):])[3] != "5" {
+		t.Errorf("the table does not show the last PATCH:\n%s", table)
 	}
 }

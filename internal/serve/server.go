@@ -53,11 +53,12 @@ type Options struct {
 	// covers intake and execution.
 	Engine *engine.Engine
 	// Workers is the initial number of serving workers pulling from the
-	// admission queue (each runs one job at a time: engine.Schedule,
-	// then rendering and publishing its result). <= 0 selects half of
-	// Engine.Workers(), rounded up: most of a served job's CPU is spent
-	// in the HTTP handlers (decode, JSON, SSE), which need the other
-	// CPUs. Hot-reloadable via /v1/admin/config.
+	// admission queue (each runs one job at a time: engine.Schedule, then
+	// publishing its result; the GET that reads the result renders its
+	// offset table). <= 0 selects half of Engine.Workers(), rounded up:
+	// most of a served job's CPU is spent in the HTTP handlers (decode,
+	// render, JSON, SSE), which need the other CPUs. Hot-reloadable via
+	// /v1/admin/config.
 	Workers int
 	// QueueDepth bounds the admission queue; a full queue sheds with
 	// 429. <= 0 selects DefaultQueueDepth.
@@ -246,19 +247,14 @@ type jobRecord struct {
 
 	// renderMu serializes PATCH delta application against offset
 	// rendering: Schedule.Apply mutates the record's (private, forked)
-	// graph in place, and WriteOffsets walks that graph. Lock order is
-	// renderMu before storeMu, never the reverse — view and the patch
-	// handler take renderMu first and storeMu briefly inside.
+	// graph in place, and WriteOffsets reads that graph's vertex names.
+	// Lock order is renderMu before storeMu, never the reverse — view and
+	// the patch handler take renderMu first and storeMu briefly inside.
 	renderMu sync.Mutex
 	// patches counts the graph edits applied via PATCH /v1/jobs/{id}.
 	// Zero means the record still shares the engine's immutable cache
 	// entry; the first patch forks it (see handleJobPatch).
 	patches int
-	// preOffsets is the irredundant offset table pre-rendered when the
-	// job finished (see finalizeJob); the default GET view serves it
-	// without re-walking the schedule. Guarded by storeMu; a PATCH
-	// clears it because the table no longer matches the edited graph.
-	preOffsets string
 }
 
 // Server is the scheduling daemon. Create with New, mount via Handler,
@@ -500,22 +496,11 @@ func (s *Server) runJob(rec *jobRecord) {
 	s.finalizeJob(rec, res)
 }
 
-// finalizeJob pre-renders the offset table, publishes the terminal
-// state, and fires the post-job bookkeeping (latency, limiter, SLO,
-// events).
+// finalizeJob publishes the terminal state and fires the post-job
+// bookkeeping (latency, limiter, SLO, events). It renders nothing: a
+// finished job holds its schedule, and each GET or PATCH renders the
+// offset table it returns (see view).
 func (s *Server) finalizeJob(rec *jobRecord, res engine.Result) {
-	// Pre-render the default GET view (irredundant offsets) outside all
-	// locks: the record is not yet terminal, so no PATCH can be mutating
-	// its graph (PATCH requires StatusDone), and cache-shared schedules
-	// are immutable by contract.
-	var pre string
-	if res.Err == nil && res.Schedule != nil {
-		var b strings.Builder
-		if err := cgio.WriteOffsets(&b, res.Schedule, relsched.IrredundantAnchors); err == nil {
-			pre = b.String()
-		}
-	}
-
 	// Bookkeeping comes before the record turns terminal, so a client
 	// that sees the job finished (GET or event) also finds its latency
 	// recorded, its tenant slot released and its outcome counted.
@@ -550,7 +535,6 @@ func (s *Server) finalizeJob(rec *jobRecord, res engine.Result) {
 	rec.result = res
 	rec.status = status
 	rec.errKind = kind
-	rec.preOffsets = pre
 	s.finished = append(s.finished, rec.id)
 	s.evictLocked()
 	s.storeMu.Unlock()
@@ -810,14 +794,11 @@ func (s *Server) job(id string) (*jobRecord, bool) {
 }
 
 // view renders a record. withOffsets adds the offset table (terminal
-// successful jobs only); the schedule's offsets are immutable once
-// published, so rendering happens outside storeMu on a copied result —
-// but under the record's renderMu, because a concurrent PATCH mutates
-// the record's graph in place and the renderer walks it. The default
-// mode (irredundant anchors) usually skips the walk entirely: the
-// worker that finished the job pre-rendered that table into
-// preOffsets, and the string snapshot stays valid even as the graph
-// changes underneath.
+// successful jobs only), rendered afresh on every call; the schedule's
+// offsets are immutable once published, so rendering happens outside
+// storeMu on a copied result — but under the record's renderMu, because
+// a concurrent PATCH mutates the record's graph in place and the
+// renderer reads its vertex names.
 func (s *Server) view(rec *jobRecord, mode relsched.AnchorMode, withOffsets bool) JobView {
 	if withOffsets {
 		rec.renderMu.Lock()
@@ -828,7 +809,6 @@ func (s *Server) view(rec *jobRecord, mode relsched.AnchorMode, withOffsets bool
 		RequestID: rec.requestID, TraceParent: rec.traceParent}
 	res := rec.result
 	errKind := rec.errKind
-	pre := rec.preOffsets
 	s.storeMu.Unlock()
 
 	switch v.Status {
@@ -842,13 +822,9 @@ func (s *Server) view(rec *jobRecord, mode relsched.AnchorMode, withOffsets bool
 		if res.Schedule != nil {
 			v.Iterations = res.Schedule.Iterations
 			if withOffsets {
-				if mode == relsched.IrredundantAnchors && pre != "" {
-					v.Offsets = pre
-				} else {
-					var b strings.Builder
-					if err := cgio.WriteOffsets(&b, res.Schedule, mode); err == nil {
-						v.Offsets = b.String()
-					}
+				var b strings.Builder
+				if err := cgio.WriteOffsets(&b, res.Schedule, mode); err == nil {
+					v.Offsets = b.String()
 				}
 			}
 		}

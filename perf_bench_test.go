@@ -1,10 +1,14 @@
 package repro
 
 import (
+	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
 	"repro/internal/cg"
+	"repro/internal/cgio"
+	"repro/internal/cgio/cgiotest"
 	"repro/internal/designs"
 	"repro/internal/randgraph"
 	"repro/internal/relsched"
@@ -221,6 +225,37 @@ func BenchmarkDeltaInsert(b *testing.B) {
 		site := sites[i%len(sites)]
 		if next, err := cur.Apply(cg.InsertOpEdit("", cg.Cycles(i%4), site[0], site[1])); err == nil {
 			cur = next
+		}
+	}
+}
+
+// BenchmarkWriteOffsets measures rendering one irredundant offset table —
+// what every GET of a finished serve job pays — on randgraph graphs of
+// N=40 and N=200 (serve-churn's sizes), with cgio.WriteOffsets against
+// the tabwriter renderer it replaced, kept as the cgiotest oracle:
+//
+//	go test -run '^$' -bench BenchmarkWriteOffsets -benchmem .
+func BenchmarkWriteOffsets(b *testing.B) {
+	for _, n := range []int{40, 200} {
+		cfg := randgraph.Default()
+		cfg.N = n
+		rng := rand.New(rand.NewSource(int64(n)))
+		var s *relsched.Schedule
+		for s == nil {
+			s, _ = relsched.Compute(randgraph.Generate(cfg, rng))
+		}
+		for _, r := range []struct {
+			name   string
+			render func(io.Writer, *relsched.Schedule, relsched.AnchorMode) error
+		}{{"two-pass", cgio.WriteOffsets}, {"tabwriter", cgiotest.ReferenceOffsets}} {
+			b.Run(fmt.Sprintf("N=%d/%s", n, r.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := r.render(io.Discard, s, relsched.IrredundantAnchors); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }
