@@ -21,6 +21,7 @@ package cg
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // VertexID identifies a vertex within one Graph. IDs are dense: the source
@@ -162,16 +163,25 @@ func (e Edge) String() string {
 // or in use. The zero value is not usable; call New.
 //
 // Graph methods are not safe for concurrent mutation; concurrent read-only
-// use after Freeze is safe. ApplyEdit and RevertDelta (delta.go) are
-// mutations: they must not overlap with each other or with readers that
-// touch the graph's structure (see docs/INCREMENTAL.md for the exact
-// reader contract during delta application).
+// use after Freeze is safe. Before Freeze, the first read of the adjacency
+// lays it out, so a graph under construction has no concurrent readers.
+// ApplyEdit and RevertDelta (delta.go) are mutations: they must not
+// overlap with each other or with readers that touch the graph's
+// structure (see docs/INCREMENTAL.md for the exact reader contract during
+// delta application).
 type Graph struct {
 	vertices []Vertex
 	edges    []Edge
-	out      [][]int // vertex -> indices into edges (all kinds)
-	in       [][]int
 	frozen   bool
+
+	// out and in map each vertex to the indices of its edges (all kinds),
+	// in edge-index order. They are nil until first read (see adjacency),
+	// so a graph built in one go lays them out once, from the edge list.
+	// flat reports that they are still the views buildAdjacency carved
+	// from one backing array each; Freeze lays them out again otherwise.
+	out  [][]int
+	in   [][]int
+	flat bool
 
 	// generation counts structural mutations (vertex, edge, or constraint
 	// additions) so external analysis caches can detect staleness without
@@ -190,13 +200,32 @@ type Graph struct {
 	// stay on the adjacency-list view pay nothing for it.
 	topoPos  []int32
 	csrDirty bool
+
+	// digest is the content digest a caller stored with SetDigest (the
+	// engine's fingerprint), nil when none was stored since the last
+	// mutation. Workers reading the same graph may store it at once: they
+	// store equal digests, so the race is harmless, and the pointer is
+	// atomic. Mutations clear it, and a mutation never runs alongside
+	// readers.
+	digest atomic.Pointer[[32]byte]
 }
 
 // New returns an empty graph containing only the source vertex. The source
 // models graph activation and therefore has unbounded delay δ(v0), as
 // required by Definition 2 of the paper.
 func New() *Graph {
-	g := &Graph{}
+	return NewSized(0, 0)
+}
+
+// NewSized is New with room for ops operation vertices besides the
+// source and for edges edges, so a builder that knows the graph's size
+// (the text parser counts it first) allocates each array once, at its
+// exact length.
+func NewSized(ops, edges int) *Graph {
+	g := &Graph{
+		vertices: make([]Vertex, 0, ops+1),
+		edges:    make([]Edge, 0, edges),
+	}
 	g.addVertex("v0", UnboundedDelay())
 	return g
 }
@@ -239,8 +268,11 @@ func (g *Graph) addVertex(name string, d Delay) VertexID {
 		name = fmt.Sprintf("v%d", id)
 	}
 	g.vertices = append(g.vertices, Vertex{ID: id, Name: name, Delay: d})
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
+	if g.out != nil {
+		g.out = append(g.out, nil)
+		g.in = append(g.in, nil)
+		g.flat = false
+	}
 	return id
 }
 
@@ -260,6 +292,7 @@ func (g *Graph) mutable() {
 
 func (g *Graph) invalidate() {
 	g.generation++
+	g.clearDigest()
 	g.topo = nil
 	g.topoPos = nil
 	g.anchors = nil
@@ -267,23 +300,52 @@ func (g *Graph) invalidate() {
 	g.csrDirty = false
 }
 
-// editBump records a sanctioned post-freeze edit (ApplyEdit/RevertDelta):
-// the generation moves so (identity, generation) caches invalidate, and
-// the CSR is marked stale for lazy rebuild, but the incrementally
-// maintained topo/anchors caches are kept.
+// editBump records a sanctioned post-freeze edit (ApplyEdit): the
+// generation moves so (identity, generation) caches invalidate, the
+// digest is cleared, and the CSR is marked stale for lazy rebuild, but
+// the incrementally maintained topo/anchors caches are kept.
 func (g *Graph) editBump() {
 	g.generation++
+	g.clearDigest()
 	g.csrDirty = true
 }
 
-// Generation returns a counter that increases on every structural mutation
+// Digest returns the digest last stored with SetDigest, and false when
+// none was stored since the graph's last mutation. Safe to call from
+// concurrent readers of a frozen graph.
+func (g *Graph) Digest() ([32]byte, bool) {
+	if d := g.digest.Load(); d != nil {
+		return *d, true
+	}
+	return [32]byte{}, false
+}
+
+// SetDigest stores a digest of the graph's current content for Digest
+// to return until the next mutation: AddOp, AddSeq, AddMin, AddMax,
+// AddSerialization, ApplyEdit and RevertDelta all clear it. The graph
+// does not check what the digest is; internal/engine stores its
+// fingerprint here. Concurrent readers may store the same digest at
+// once.
+func (g *Graph) SetDigest(d [32]byte) { g.digest.Store(&d) }
+
+// clearDigest drops the digest. The load first keeps the common case, a
+// graph under construction that holds none, to a plain read.
+func (g *Graph) clearDigest() {
+	if g.digest.Load() != nil {
+		g.digest.Store(nil)
+	}
+}
+
+// Generation returns a counter that moves on every structural mutation
 // of the graph: AddOp, AddSeq, AddMin, AddMax, and AddSerialization bump
-// it while building, and ApplyEdit/RevertDelta bump it after Freeze.
-// External memoization layers (internal/engine) key cached analyses on the
-// pair (graph identity, generation): a cached result is stale exactly when
-// the generation has moved on, so staleness detection is O(1) instead of a
-// structural re-hash. A frozen graph's generation moves only through the
-// delta API (delta.go), which keeps the Freeze-time caches consistent.
+// it while building, ApplyEdit bumps it after Freeze, and RevertDelta
+// restores the pre-edit value. Schedules (relsched) and the engine's warm
+// map key on the pair (graph identity, generation), so staleness
+// detection is O(1) instead of a structural re-hash. Because RevertDelta
+// restores a value, an edit after a revert reuses a generation with other
+// content: a memo of content, like the digest (SetDigest), is cleared by
+// every mutation instead. A frozen graph's generation moves only through
+// the delta API (delta.go), which keeps the Freeze-time caches consistent.
 func (g *Graph) Generation() uint64 { return g.generation }
 
 func (g *Graph) addEdge(e Edge) int {
@@ -294,9 +356,46 @@ func (g *Graph) addEdge(e Edge) int {
 	}
 	i := len(g.edges)
 	g.edges = append(g.edges, e)
-	g.out[e.From] = append(g.out[e.From], i)
-	g.in[e.To] = append(g.in[e.To], i)
+	if g.out != nil {
+		g.out[e.From] = append(g.out[e.From], i)
+		g.in[e.To] = append(g.in[e.To], i)
+		g.flat = false
+	}
 	return i
+}
+
+// adjacency makes sure out and in exist. A graph under construction
+// builds them on first read; from then on additions append to them.
+func (g *Graph) adjacency() {
+	if g.out == nil {
+		g.buildAdjacency()
+	}
+}
+
+// buildAdjacency lays out out and in from the edge list: the headers
+// share one allocation, the edge indices another, and each vertex's list
+// is a view with cap == len, so an edit that later appends to one vertex
+// reallocates that vertex's list instead of writing into a neighbour's.
+func (g *Graph) buildAdjacency() {
+	n := len(g.vertices)
+	deg := make([]int, 2*n) // out-degrees, then in-degrees
+	for _, e := range g.edges {
+		deg[e.From]++
+		deg[n+int(e.To)]++
+	}
+	idx := make([]int, 2*len(g.edges))
+	lists := make([][]int, 2*n)
+	off := 0
+	for v, d := range deg {
+		lists[v] = idx[off : off : off+d]
+		off += d
+	}
+	g.out, g.in = lists[:n:n], lists[n:]
+	for i, e := range g.edges {
+		g.out[e.From] = append(g.out[e.From], i)
+		g.in[e.To] = append(g.in[e.To], i)
+	}
+	g.flat = true
 }
 
 func (g *Graph) check(id VertexID) {
@@ -360,15 +459,22 @@ func (g *Graph) AddSerialization(a, v VertexID) {
 
 // OutEdges returns the indices of edges leaving v. Callers must not modify
 // the returned slice.
-func (g *Graph) OutEdges(v VertexID) []int { return g.out[v] }
+func (g *Graph) OutEdges(v VertexID) []int {
+	g.adjacency()
+	return g.out[v]
+}
 
 // InEdges returns the indices of edges entering v. Callers must not modify
 // the returned slice.
-func (g *Graph) InEdges(v VertexID) []int { return g.in[v] }
+func (g *Graph) InEdges(v VertexID) []int {
+	g.adjacency()
+	return g.in[v]
+}
 
 // ForwardOut iterates over the forward edges leaving v, calling fn with
 // each edge index. Iteration stops early if fn returns false.
 func (g *Graph) ForwardOut(v VertexID, fn func(i int, e Edge) bool) {
+	g.adjacency()
 	for _, i := range g.out[v] {
 		e := g.edges[i]
 		if !e.Kind.Forward() {
@@ -433,17 +539,22 @@ func (g *Graph) IsAnchor(v VertexID) bool {
 // the forward subgraph must be acyclic and the graph polar (every vertex
 // reachable from the source in G_f, and the sink — the unique vertex with
 // no outgoing forward edges — reachable from every vertex).
+//
+// Freeze lays the adjacency out flat (see buildAdjacency) unless it
+// already is, and keeps the topological order validation sorted.
 func (g *Graph) Freeze() error {
 	if g.frozen {
 		return nil
 	}
-	if err := g.validate(); err != nil {
+	if !g.flat {
+		g.buildAdjacency()
+	}
+	order, err := g.validate()
+	if err != nil {
 		return err
 	}
 	g.frozen = true
-	g.topo = nil
-	g.anchors = nil
-	g.topo = g.TopoForward()
+	g.topo = order
 	g.buildRanks()
 	g.anchors = nil
 	g.Anchors()
@@ -473,21 +584,20 @@ func (g *Graph) MustFreeze() *Graph {
 func (g *Graph) Frozen() bool { return g.frozen }
 
 // Clone returns a deep, unfrozen copy of the graph. MakeWellPosed uses
-// clones so the caller's graph is never mutated. The clone inherits the
-// receiver's generation counter; because staleness caches key on graph
-// identity as well as generation, a clone never aliases its parent's
-// cached analyses.
+// clones so the caller's graph is never mutated. The clone's vertex and
+// edge arrays are exactly as long as the graph; its adjacency is laid
+// out from the edge list when first read, so it is in edge-index order
+// even where edits left the receiver's in another. The clone inherits
+// the receiver's generation counter; because staleness caches key on
+// graph identity as well as generation, a clone never aliases its
+// parent's cached analyses. It starts with no digest.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		vertices:   append([]Vertex(nil), g.vertices...),
-		edges:      append([]Edge(nil), g.edges...),
-		out:        make([][]int, len(g.out)),
-		in:         make([][]int, len(g.in)),
+		vertices:   make([]Vertex, len(g.vertices)),
+		edges:      make([]Edge, len(g.edges)),
 		generation: g.generation,
 	}
-	for i := range g.out {
-		c.out[i] = append([]int(nil), g.out[i]...)
-		c.in[i] = append([]int(nil), g.in[i]...)
-	}
+	copy(c.vertices, g.vertices)
+	copy(c.edges, g.edges)
 	return c
 }

@@ -15,16 +15,12 @@ type CSR struct {
 
 	// Out* is the all-edge out-adjacency in CSR form: the out-edges of
 	// vertex v occupy positions OutStart[v]..OutStart[v+1] of the parallel
-	// arrays. OutW holds the minimum edge weight (0 for unbounded edges),
-	// OutUnb marks unbounded weights, OutFwd marks membership in E_f, and
-	// OutIdx is the edge's index into Edges(). Within one vertex the edges
-	// keep their insertion order, matching OutEdges.
+	// arrays. OutUnb marks unbounded weights and OutFwd membership in E_f.
+	// Within one vertex the edges keep the order of OutEdges.
 	OutStart []int32
 	OutTo    []int32
-	OutW     []int
 	OutUnb   []bool
 	OutFwd   []bool
-	OutIdx   []int32
 
 	// Topo* is the forward edge set E_f sorted by the topological rank of
 	// the tail (ties in insertion order): one flat pass over these arrays
@@ -36,12 +32,10 @@ type CSR struct {
 	TopoUnb  []bool
 
 	// Bwd* is the backward edge set E_b in insertion order — the edges
-	// ReadjustOffset scans. BwdW is the (negative) edge weight -u and
-	// BwdIdx the index into Edges().
+	// ReadjustOffset scans. BwdW is the (negative) edge weight -u.
 	BwdFrom []int32
 	BwdTo   []int32
 	BwdW    []int
-	BwdIdx  []int32
 
 	// All* is every edge in insertion order with minimum weights — the
 	// iteration set of the Bellman–Ford longest-path solvers.
@@ -89,10 +83,8 @@ func buildCSR(g *Graph) *CSR {
 		n:        n,
 		OutStart: make([]int32, n+1),
 		OutTo:    make([]int32, m),
-		OutW:     make([]int, m),
 		OutUnb:   make([]bool, m),
 		OutFwd:   make([]bool, m),
-		OutIdx:   make([]int32, m),
 		AllFrom:  make([]int32, m),
 		AllTo:    make([]int32, m),
 		AllW:     make([]int, m),
@@ -103,10 +95,8 @@ func buildCSR(g *Graph) *CSR {
 		for _, ei := range g.out[v] {
 			e := g.edges[ei]
 			c.OutTo[pos] = int32(e.To)
-			c.OutW[pos] = e.MinWeight()
 			c.OutUnb[pos] = e.Unbounded
 			c.OutFwd[pos] = e.Kind.Forward()
-			c.OutIdx[pos] = int32(ei)
 			pos++
 		}
 	}
@@ -120,7 +110,6 @@ func buildCSR(g *Graph) *CSR {
 			c.BwdFrom = append(c.BwdFrom, int32(e.From))
 			c.BwdTo = append(c.BwdTo, int32(e.To))
 			c.BwdW = append(c.BwdW, e.Weight)
-			c.BwdIdx = append(c.BwdIdx, int32(i))
 		}
 	}
 

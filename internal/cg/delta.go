@@ -451,14 +451,16 @@ func (g *Graph) dropVertex(id VertexID) {
 // which no consumer depends on.
 //
 // Reversal restores the pre-edit generation (d.Gen − 1) rather than
-// advancing it: the generation identifies graph content, and after a
-// revert the content is the pre-edit content again — schedules and
-// cache entries keyed on the old generation stay valid across a
-// rejected probe.
+// advancing it, so schedules keyed on the old generation stay valid
+// across a rejected probe. A generation does not identify content,
+// though: an edit applied after the revert takes d.Gen again with other
+// content. Reversal therefore clears the digest (see SetDigest), as
+// every mutation does.
 func (g *Graph) RevertDelta(d Delta) error {
 	if d.Gen != g.generation {
 		return fmt.Errorf("%w: delta gen %d, graph gen %d", ErrRevertOrder, d.Gen, g.generation)
 	}
+	g.adjacency()
 	switch d.Op {
 	case EditAddMin, EditAddMax, EditAddSerialization:
 		// The added edge is still last (LIFO guarantee). The topological
@@ -496,6 +498,7 @@ func (g *Graph) RevertDelta(d Delta) error {
 		return fmt.Errorf("cg: unknown delta op %v", d.Op)
 	}
 	g.generation = d.Gen - 1
+	g.clearDigest()
 	g.csrDirty = true
 	return nil
 }

@@ -234,6 +234,7 @@ func (g *Graph) reaches(src, dst VertexID, seen []bool) bool {
 	if src == dst {
 		return true
 	}
+	g.adjacency()
 	stack := make([]VertexID, 0, 64)
 	seen[src] = true
 	stack = append(stack, src)

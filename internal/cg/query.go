@@ -25,6 +25,7 @@ func (g *Graph) TopoForward() []VertexID {
 }
 
 func (g *Graph) topoForward() ([]VertexID, error) {
+	g.adjacency()
 	n := len(g.vertices)
 	indeg := make([]int, n)
 	for _, e := range g.edges {
@@ -111,6 +112,7 @@ func (g *Graph) floodForward(v VertexID, seen []bool) {
 		}
 		return
 	}
+	g.adjacency()
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -142,6 +144,7 @@ func (g *Graph) IsForwardPredecessor(a, b VertexID) bool {
 // predecessor of v — the pred(v) relation of Definitions 4 and 9. The result is a boolean slice indexed by
 // vertex ID; v itself is false.
 func (g *Graph) ForwardPredecessors(v VertexID) []bool {
+	g.adjacency()
 	seen := make([]bool, len(g.vertices))
 	stack := make([]VertexID, 0, 64)
 	stack = append(stack, v)
@@ -162,23 +165,25 @@ func (g *Graph) ForwardPredecessors(v VertexID) []bool {
 
 // validate enforces the model of Section III: acyclic forward graph and
 // polarity (all vertices reachable from the source; unique sink reachable
-// from all vertices through forward edges).
-func (g *Graph) validate() error {
-	if _, err := g.topoForward(); err != nil {
-		return err
+// from all vertices through forward edges). It returns the topological
+// order it sorted, which Freeze keeps.
+func (g *Graph) validate() ([]VertexID, error) {
+	order, err := g.topoForward()
+	if err != nil {
+		return nil, err
 	}
 	if len(g.vertices) == 1 {
-		return nil // degenerate source-only graph
+		return order, nil // degenerate source-only graph
 	}
 	reach := g.ReachableForward(g.Source())
 	for _, v := range g.vertices {
 		if !reach[v.ID] {
-			return fmt.Errorf("cg: vertex %d (%s) unreachable from source", v.ID, v.Name)
+			return nil, fmt.Errorf("cg: vertex %d (%s) unreachable from source", v.ID, v.Name)
 		}
 	}
 	sink := g.Sink()
 	if sink == None {
-		return errors.New("cg: graph is not polar: no unique sink")
+		return nil, errors.New("cg: graph is not polar: no unique sink")
 	}
 	// Every vertex must reach the sink: flood the reversed forward edges
 	// from the sink (explicit stack — validation runs before the graph is
@@ -199,8 +204,8 @@ func (g *Graph) validate() error {
 	}
 	for _, v := range g.vertices {
 		if !co[v.ID] {
-			return fmt.Errorf("cg: vertex %d (%s) cannot reach sink", v.ID, v.Name)
+			return nil, fmt.Errorf("cg: vertex %d (%s) cannot reach sink", v.ID, v.Name)
 		}
 	}
-	return nil
+	return order, nil
 }

@@ -3,11 +3,13 @@ package cgio
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/cg"
 	"repro/internal/paperex"
+	"repro/internal/randgraph"
 	"repro/internal/relsched"
 )
 
@@ -112,6 +114,40 @@ func TestParseErrors(t *testing.T) {
 	// Structural validation also runs: unreachable vertex.
 	if _, err := ParseString("vertex x delay=1\nvertex y delay=1\nseq v0 x"); err == nil {
 		t.Error("expected polarity error")
+	}
+	// A line of 64 KiB or more is refused with its line number, as the
+	// bufio.Scanner the format was first read with refused it; a line one
+	// byte shorter, CR included, is read.
+	long := "vertex x delay=1\nseq v0 x #" + strings.Repeat("-", 65534-len("seq v0 x #"))
+	if _, err := ParseString(long + "\r\n"); err != nil {
+		t.Errorf("a line of 65535 bytes: %v", err)
+	}
+	_, err = ParseString(long + "-\r\n")
+	if !errors.As(err, &pe) || pe.Line != 2 || !strings.Contains(pe.Msg, "longer than 65535 bytes") {
+		t.Errorf("a line of 65536 bytes: got %v, want a line 2 ParseError about its length", err)
+	}
+}
+
+// TestParseAllocs pins the parser's allocations: the graph's arrays and
+// its names are allocated once, so a parse costs a fixed handful of
+// objects, not several per line.
+func TestParseAllocs(t *testing.T) {
+	for _, n := range []int{200, 1000} {
+		cfg := randgraph.Default()
+		cfg.N = n
+		var b strings.Builder
+		if err := Write(&b, randgraph.Generate(cfg, rand.New(rand.NewSource(int64(n))))); err != nil {
+			t.Fatal(err)
+		}
+		src := b.String()
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := ParseString(src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 100 {
+			t.Errorf("N=%d: parsing allocates %.0f objects, want at most 100", n, allocs)
+		}
 	}
 }
 

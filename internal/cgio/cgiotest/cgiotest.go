@@ -1,8 +1,10 @@
-// Package cgiotest holds the test oracle of cgio's offset tables:
-// ReferenceOffsets renders the Table II table through text/tabwriter, as
-// cgio.WriteOffsets once did, so that tests pin the two-pass renderer to
-// it byte for byte, the way relsched.ReferenceCompute pins schedules.
-// Only tests import it.
+// Package cgiotest holds the test oracles of cgio, the way
+// relsched.ReferenceCompute pins schedules. ReferenceOffsets renders the
+// Table II table through text/tabwriter, as cgio.WriteOffsets once did,
+// so that tests pin the two-pass renderer to it byte for byte.
+// ReferenceParse reads the text format line by line through a
+// bufio.Scanner and strings.Fields, as cgio.Parse once did. Only tests
+// import it.
 package cgiotest
 
 import (

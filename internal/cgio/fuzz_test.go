@@ -13,11 +13,12 @@ import (
 )
 
 // FuzzParse feeds arbitrary text to the graph parser. Parse must never
-// panic; a graph it accepts must survive Write then Parse with the same
+// panic; it must agree with the line-by-line oracle (see sameParse); a
+// graph it accepts must survive Write then Parse with the same
 // fingerprint; and when the graph schedules (repaired if ill-posed), its
 // offset tables must equal the tabwriter oracle's in every mode. The
-// corpus is seeded from the checked-in .cg examples and the eight
-// designs' hierarchy graphs in the text format. Run with
+// corpus is seeded from the checked-in .cg examples, the eight designs'
+// hierarchy graphs in the text format, and parseSeeds. Run with
 //
 //	go test -run '^$' -fuzz FuzzParse -fuzztime 20s ./internal/cgio/
 func FuzzParse(f *testing.F) {
@@ -41,7 +42,11 @@ func FuzzParse(f *testing.F) {
 			f.Add(b.String())
 		}
 	}
+	for _, src := range parseSeeds {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
+		sameParse(t, src)
 		g, err := cgio.ParseString(src)
 		if err != nil {
 			return

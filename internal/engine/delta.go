@@ -32,10 +32,9 @@ func (e *Engine) warmGet(g *cg.Graph) (*analysisEntry, bool) {
 }
 
 // warmPut memoizes a delta schedule under its graph's current
-// generation, replacing any stale entry for the same graph value. Same
-// bounding policy as the fingerprint memo: the map resets past
-// maxFingerprintMemo entries so long-lived engines do not pin dead
-// graphs.
+// generation, replacing any stale entry for the same graph value. The
+// map resets past maxWarmMemo entries so long-lived engines do not pin
+// dead graphs.
 func (e *Engine) warmPut(s *relsched.Schedule) {
 	entry := &analysisEntry{graph: s.G, info: s.Info, sched: s}
 	e.warm.put(s.G, warmEntry{gen: s.Generation(), entry: entry})

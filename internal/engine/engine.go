@@ -11,9 +11,9 @@
 // every call to relsched.Compute repeats the O(|A|·|V|·|E|) Bellman–Ford
 // anchor analysis from scratch. The engine computes each distinct graph
 // once and answers repeats from an LRU cache in O(|V|+|E|) hashing time
-// (O(1) when the graph value itself is resubmitted, via the generation
-// counter of cg.Graph). Scheduling is deterministic, so cached results are
-// bit-for-bit identical to freshly computed ones.
+// (O(1) when the graph value itself is resubmitted: the fingerprint stays
+// on the graph until its next mutation). Scheduling is deterministic, so
+// cached results are bit-for-bit identical to freshly computed ones.
 //
 // Concurrency model, cancellation semantics, and the invariants that make
 // shared read-only cg.Graph access race-free are documented in
@@ -196,11 +196,6 @@ type Engine struct {
 	recorder *flight.Recorder // nil when flight recording is off
 	prof     *prof.Profiler   // nil when the self-profiling plane is off
 
-	// fps memoizes graph fingerprints per live graph value, keyed by the
-	// generation counter so any mutation invalidates the memo (see
-	// cg.Graph.Generation).
-	fps graphMemo[fpMemo]
-
 	// warm memoizes ApplyDelta results per live graph value, keyed by the
 	// generation counter, so a job resubmitting a delta-edited graph is
 	// answered in O(1) — no SHA-256 refingerprinting anywhere on a delta
@@ -215,20 +210,14 @@ type flightCall struct {
 	entry *analysisEntry // nil when the leader was cancelled mid-pipeline
 }
 
-type fpMemo struct {
-	gen uint64
-	fp  Fingerprint
-}
-
-// maxFingerprintMemo bounds each per-graph memo (fingerprints, warm
-// delta entries).
-const maxFingerprintMemo = 4096
+// maxWarmMemo bounds the warm map (see delta.go).
+const maxWarmMemo = 4096
 
 // graphMemo is a bounded map keyed by graph identity under one mutex. It
-// resets itself once it holds maxFingerprintMemo entries, which keeps
+// resets itself once it holds maxWarmMemo entries, which keeps
 // long-lived engines from pinning every graph a caller ever submitted.
-// Losing an entry is always safe: both memos are pure caches
-// re-derivable from the graph. The zero value is ready to use.
+// Losing an entry is always safe: the memo is a pure cache re-derivable
+// from the graph. The zero value is ready to use.
 type graphMemo[V any] struct {
 	mu sync.Mutex
 	m  map[*cg.Graph]V
@@ -246,7 +235,7 @@ func (p *graphMemo[V]) get(g *cg.Graph) (V, bool) {
 // full.
 func (p *graphMemo[V]) put(g *cg.Graph, v V) {
 	p.mu.Lock()
-	if p.m == nil || len(p.m) >= maxFingerprintMemo {
+	if p.m == nil || len(p.m) >= maxWarmMemo {
 		p.m = make(map[*cg.Graph]V)
 	}
 	p.m[g] = v
@@ -522,8 +511,8 @@ func (e *Engine) Schedule(ctx context.Context, job Job) Result {
 
 	// Cache disabled: no fingerprint, no lookup — the hash would be pure
 	// overhead with nothing to key, so the job goes straight into the
-	// pipeline (the flight recorder memoizes a fingerprint on demand via
-	// fingerprintPeek/fingerprint in finishJob when it needs one).
+	// pipeline (the flight recorder reads a fingerprint the graph already
+	// holds, see finishJob).
 	if e.cache == nil {
 		// The entry lives on this stack frame: nothing caches it, so the
 		// uncached path runs allocation-free in the engine layer.
@@ -564,10 +553,10 @@ func (e *Engine) Schedule(ctx context.Context, job Job) Result {
 			// path (the cache-hit fast path's only stage) stays
 			// allocation-free.
 			e.prof.DoStage(ctx, prof.StageFingerprint, func() {
-				key.fp = e.fingerprint(job.Graph)
+				key.fp = fingerprint(job.Graph)
 			})
 		} else {
-			key.fp = e.fingerprint(job.Graph)
+			key.fp = fingerprint(job.Graph)
 		}
 		fpSpan.End()
 		now = time.Now()
@@ -582,7 +571,7 @@ func (e *Engine) Schedule(ctx context.Context, job Job) Result {
 	} else {
 		// Quiescent: hash without stamps — nothing consumes the stage
 		// boundary.
-		key.fp = e.fingerprint(job.Graph)
+		key.fp = fingerprint(job.Graph)
 	}
 
 	for {
@@ -900,28 +889,15 @@ func modeLabel(wellPose bool) string {
 	return "strict"
 }
 
-// fingerprint returns the canonical fingerprint of g, memoized per
-// (graph value, generation) so resubmitting the same graph skips the
-// structural hash. A mutation bumps the generation (cg.Graph.Generation)
-// and forces a re-hash — the stale-cache guard the memoization layer
-// relies on.
-func (e *Engine) fingerprint(g *cg.Graph) Fingerprint {
-	gen := g.Generation()
-	if m, ok := e.fps.get(g); ok && m.gen == gen {
-		return m.fp
+// fingerprint returns the canonical fingerprint of g, memoized on the
+// graph itself (cg.Graph.SetDigest) so resubmitting the same graph skips
+// the structural hash. Every mutation clears the memo, and it dies with
+// the graph.
+func fingerprint(g *cg.Graph) Fingerprint {
+	if fp, ok := g.Digest(); ok {
+		return fp
 	}
 	fp := FingerprintOf(g)
-	e.fps.put(g, fpMemo{gen: gen, fp: fp})
+	g.SetDigest(fp)
 	return fp
-}
-
-// fingerprintPeek returns g's memoized fingerprint if one is already
-// known for its current generation, without hashing. Used where a
-// fingerprint is nice to have (flight records) but not worth an
-// O(|V|+|E|) hash to produce.
-func (e *Engine) fingerprintPeek(g *cg.Graph) (Fingerprint, bool) {
-	if m, ok := e.fps.get(g); ok && m.gen == g.Generation() {
-		return m.fp, true
-	}
-	return Fingerprint{}, false
 }

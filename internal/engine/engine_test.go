@@ -148,11 +148,11 @@ func TestDisableCache(t *testing.T) {
 	}
 }
 
-// TestStaleFingerprintRegression pins the generation-counter contract: a
-// fingerprint memoized for a graph value must not survive a mutation of
-// that value. Without the generation check the memo would serve the
-// pre-mutation fingerprint, the cache would return the pre-mutation
-// schedule, and the added constraint would be silently ignored.
+// TestStaleFingerprintRegression pins the memo contract: a fingerprint
+// memoized on a graph value must not survive a mutation of that value.
+// Otherwise the memo would serve the pre-mutation fingerprint, the cache
+// would return the pre-mutation schedule, and the added constraint would
+// be silently ignored.
 func TestStaleFingerprintRegression(t *testing.T) {
 	e := New(Options{Workers: 1})
 	ctx := context.Background()
@@ -166,7 +166,7 @@ func TestStaleFingerprintRegression(t *testing.T) {
 	// Pre-warm the fingerprint memo for g while it is still mutable,
 	// then tighten a constraint before submitting.
 	g := buildFig2ish()
-	if e.fingerprint(g) != FingerprintOf(buildFig2ish()) {
+	if fingerprint(g) != FingerprintOf(buildFig2ish()) {
 		t.Fatal("sanity: pre-mutation fingerprints differ")
 	}
 	// Well-posed addition: A(v4) ⊆ A(v3), and u=9 exceeds the longest

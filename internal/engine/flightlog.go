@@ -103,11 +103,11 @@ func (e *Engine) finishJob(job Job, res *Result, jc *jobCtx, capture *logx.Captu
 	}
 	if fpKnown {
 		rec.Fingerprint = fp.String()
-	} else if mfp, ok := e.fingerprintPeek(job.Graph); ok {
+	} else if mfp, ok := job.Graph.Digest(); ok {
 		// A job that skipped hashing (warm hit, cache disabled, pre-hash
 		// cancellation) still gets its fingerprint into the flight record
-		// when the memo already holds one — a memo probe, never a hash.
-		rec.Fingerprint = mfp.String()
+		// when the graph already holds one — a memo probe, never a hash.
+		rec.Fingerprint = Fingerprint(mfp).String()
 	}
 	if res.Err != nil {
 		rec.Err = res.Err.Error()

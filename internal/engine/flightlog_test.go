@@ -256,7 +256,7 @@ func TestScheduleDisabledObservabilityZeroAllocs(t *testing.T) {
 	e := New(Options{Workers: 1})
 	g := buildFig2ish()
 	ctx := context.Background()
-	e.Schedule(ctx, Job{ID: "warm", Graph: g}) // fill cache + fingerprint memo
+	e.Schedule(ctx, Job{ID: "warm", Graph: g}) // fill cache + the graph's fingerprint memo
 	allocs := testing.AllocsPerRun(100, func() {
 		e.Schedule(ctx, Job{ID: "warm", Graph: g})
 	})

@@ -84,7 +84,7 @@ func TestDuplicateSuppressionFollower(t *testing.T) {
 	e := New(Options{Workers: 1})
 	ctx := context.Background()
 	g := buildFig2ish()
-	key := cacheKey{fp: e.fingerprint(g)}
+	key := cacheKey{fp: fingerprint(g)}
 
 	call := &flightCall{done: make(chan struct{})}
 	e.cache.registerFlightForTest(key, call)
@@ -135,7 +135,7 @@ func TestDuplicateSuppressionFollower(t *testing.T) {
 func TestDuplicateSuppressionLeaderCancelled(t *testing.T) {
 	e := New(Options{Workers: 1})
 	g := buildFig2ish()
-	key := cacheKey{fp: e.fingerprint(g)}
+	key := cacheKey{fp: fingerprint(g)}
 
 	call := &flightCall{done: make(chan struct{})}
 	e.cache.registerFlightForTest(key, call)

@@ -631,3 +631,35 @@ func TestDrainDeadline(t *testing.T) {
 		t.Errorf("post-drain status = %+v, want 1 done", st)
 	}
 }
+
+// TestFinishedJobHoldsNoGraph pins that a finished job's record keeps its
+// result, not the graph it was submitted with: the worker drops the
+// record's graph when it hands the job to the engine. A second job with
+// the same source is a cache hit, and its result shares the cached
+// entry's graph, so its own parse is garbage.
+func TestFinishedJobHoldsNoGraph(t *testing.T) {
+	s := testServer(t, 1, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, id := range []string{"first", "again"} {
+		decodeJobs(t, postJobs(t, ts, "", "application/json", singleJob(id)))
+		waitFor(t, "job "+id+" to finish", func() bool {
+			s.storeMu.Lock()
+			defer s.storeMu.Unlock()
+			return s.store[id].status == StatusDone
+		})
+	}
+	s.storeMu.Lock()
+	defer s.storeMu.Unlock()
+	first, again := s.store["first"], s.store["again"]
+	for _, rec := range []*jobRecord{first, again} {
+		if rec.graph != nil {
+			t.Errorf("finished job %s still holds its submitted graph", rec.id)
+		}
+	}
+	if !again.result.CacheHit || again.result.Graph != first.result.Graph {
+		t.Errorf("repeat job: cache hit %v, shares the cached graph %v; want both",
+			again.result.CacheHit, again.result.Graph == first.result.Graph)
+	}
+}

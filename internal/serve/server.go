@@ -228,7 +228,7 @@ type jobRecord struct {
 	id         string
 	tenant     string
 	design     string
-	graph      *cg.Graph
+	graph      *cg.Graph // the submitted graph, nil once a worker takes the job
 	wellPose   bool
 	timeout    time.Duration
 	acceptedAt time.Time
@@ -474,8 +474,13 @@ func (s *Server) runJob(rec *jobRecord) {
 	if s.testJobGate != nil {
 		<-s.testJobGate
 	}
+	// The record hands its graph to the engine and drops it: a finished
+	// job keeps only its result, whose graph on a cache hit is the cached
+	// entry's, so the submitted copy becomes garbage.
 	s.storeMu.Lock()
 	rec.status = StatusRunning
+	g := rec.graph
+	rec.graph = nil
 	s.storeMu.Unlock()
 	s.events.publish(s.event(EventStarted, rec))
 
@@ -484,7 +489,7 @@ func (s *Server) runJob(rec *jobRecord) {
 	// span, and stage exemplars carry the request ID.
 	res := s.eng.Schedule(context.Background(), engine.Job{
 		ID:        rec.id,
-		Graph:     rec.graph,
+		Graph:     g,
 		WellPose:  rec.wellPose,
 		Timeout:   rec.timeout,
 		Parent:    rec.reqSpan,

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/cg"
@@ -257,5 +259,51 @@ func BenchmarkWriteOffsets(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkParse measures cgio.ParseString on randgraph graphs of N=40,
+// 200 and 1000 in the text format — every served job's intake — and
+// reports, next to the allocations, the heap one parsed graph keeps
+// (B-kept/graph: the live heap 32 parsed graphs hold after a GC, over
+// 32):
+//
+//	go test -run '^$' -bench BenchmarkParse -benchmem .
+func BenchmarkParse(b *testing.B) {
+	for _, n := range []int{40, 200, 1000} {
+		cfg := randgraph.Default()
+		cfg.N = n
+		var text strings.Builder
+		if err := cgio.Write(&text, randgraph.Generate(cfg, rand.New(rand.NewSource(int64(n))))); err != nil {
+			b.Fatal(err)
+		}
+		src := text.String()
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			const kept = 32
+			graphs := make([]*cg.Graph, kept)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := range graphs {
+				g, err := cgio.ParseString(src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				graphs[i] = g
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			perGraph := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / kept
+			runtime.KeepAlive(graphs)
+			b.SetBytes(int64(len(src)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cgio.ParseString(src); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(perGraph, "B-kept/graph")
+		})
 	}
 }
