@@ -209,7 +209,7 @@ func BenchmarkScaling_Incremental(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := relsched.ComputeFromAnalysis(infos[i%len(infos)]); err != nil {
+					if _, err := relsched.ComputeFromAnalysis(infos[i%len(infos)], nil); err != nil {
 						b.Fatal(err)
 					}
 				}

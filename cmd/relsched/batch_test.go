@@ -424,15 +424,49 @@ func TestBatchLogging(t *testing.T) {
 		t.Errorf("scheduled lines = %d, want 2:\n%s", scheduled, data)
 	}
 
-	// Flag validation.
-	if err := runBatch([]string{"-log", "yaml", dir}, &out); err == nil {
-		t.Error("-log yaml accepted")
+	// Every level name is accepted and gates the stream: the info
+	// verdict lines appear up to info, the debug lines only at debug.
+	for _, c := range []struct {
+		level            string
+		scheduled, debug bool
+	}{
+		{"debug", true, true}, {"info", true, false}, {"warn", false, false},
+		{"warning", false, false}, {"error", false, false},
+	} {
+		path := filepath.Join(t.TempDir(), c.level+".log")
+		if err := runBatch([]string{"-log", "jsonl", "-log-level", c.level, "-log-file", path, dir}, &out); err != nil {
+			t.Errorf("-log-level %s: %v", c.level, err)
+			continue
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(string(data), `"msg":"job scheduled"`); got != c.scheduled {
+			t.Errorf("-log-level %s: job scheduled lines = %v, want %v", c.level, got, c.scheduled)
+		}
+		if got := strings.Contains(string(data), `"level":"debug"`); got != c.debug {
+			t.Errorf("-log-level %s: debug lines = %v, want %v", c.level, got, c.debug)
+		}
 	}
-	if err := runBatch([]string{"-log", "jsonl", "-log-level", "loud", dir}, &out); err == nil {
-		t.Error("-log-level loud accepted")
+
+	// Flag validation. A refused flag leaves an existing log file as it
+	// was.
+	keep := filepath.Join(t.TempDir(), "keep.log")
+	if err := os.WriteFile(keep, []byte("kept\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if err := runBatch([]string{"-log-file", logPath, dir}, &out); err == nil {
-		t.Error("-log-file without -log accepted")
+	for _, args := range [][]string{
+		{"-log", "yaml", "-log-file", keep, dir},
+		{"-log", "jsonl", "-log-level", "loud", "-log-file", keep, dir},
+		{"-log-file", keep, dir},
+	} {
+		if err := runBatch(args, &out); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+		if data, err := os.ReadFile(keep); err != nil || string(data) != "kept\n" {
+			t.Errorf("%v: log file = %q (err %v), want it unchanged", args, data, err)
+		}
 	}
 }
 

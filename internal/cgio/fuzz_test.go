@@ -62,7 +62,11 @@ func FuzzParse(f *testing.F) {
 		if engine.FingerprintOf(g2) != engine.FingerprintOf(g) {
 			t.Fatalf("Write then Parse changed the fingerprint\n%s", text.String())
 		}
-		s, _, err := relsched.ComputeWellPosed(g)
+		wp, _, err := relsched.MakeWellPosed(g)
+		if err != nil {
+			return
+		}
+		s, err := relsched.Compute(wp)
 		if err != nil {
 			return
 		}

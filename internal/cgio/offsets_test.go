@@ -78,7 +78,11 @@ func TestWriteOffsetsMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, gname := range r.Order {
-			s, _, err := relsched.ComputeWellPosed(r.Graphs[gname].CG)
+			wp, _, err := relsched.MakeWellPosed(r.Graphs[gname].CG)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", d.Name, i, err)
+			}
+			s, err := relsched.Compute(wp)
 			if err != nil {
 				t.Fatalf("%s/%d: %v", d.Name, i, err)
 			}

@@ -16,11 +16,11 @@ package prof
 
 import (
 	"context"
+	"log/slog"
 	"runtime"
 	"runtime/pprof"
 	"time"
 
-	"repro/internal/logx"
 	"repro/internal/obs"
 )
 
@@ -74,7 +74,7 @@ type Options struct {
 	// Metrics receives prof.* counters. Optional.
 	Metrics *obs.Registry
 	// Logger receives capture lifecycle records. Optional.
-	Logger *logx.Logger
+	Logger *slog.Logger
 	// Now overrides the clock (tests). Optional.
 	Now func() time.Time
 }

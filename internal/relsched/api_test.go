@@ -62,7 +62,7 @@ func TestComputeFromAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromInfo, err := relsched.ComputeFromAnalysis(info)
+	fromInfo, err := relsched.ComputeFromAnalysis(info, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -470,7 +470,7 @@ func TestInsertAllocs(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		base, _ = relsched.ComputeFromAnalysisTraced(info, hooks)
+		base, _ = relsched.ComputeFromAnalysis(info, hooks)
 	}
 	if base.Iterations < 2 {
 		t.Fatalf("cold schedule converged in %d iteration; the hook check needs at least 2", base.Iterations)

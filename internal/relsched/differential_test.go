@@ -147,9 +147,9 @@ func TestScheduleColdAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relsched.ComputeFromAnalysis(info) // warm the pool
+	relsched.ComputeFromAnalysis(info, nil) // warm the pool
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := relsched.ComputeFromAnalysis(info); err != nil {
+		if _, err := relsched.ComputeFromAnalysis(info, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -213,19 +213,24 @@ func TestZeroMaxConstraintSimultaneity(t *testing.T) {
 	}
 }
 
-// TestComputeWellPosedConvenience covers the repair-then-schedule wrapper.
+// TestComputeWellPosedConvenience covers repair then schedule:
+// MakeWellPosed followed by Compute.
 func TestComputeWellPosedConvenience(t *testing.T) {
-	s, added, err := relsched.ComputeWellPosed(paperex.Fig3b())
+	wp, added, err := relsched.MakeWellPosed(paperex.Fig3b())
 	if err != nil {
-		t.Fatalf("ComputeWellPosed: %v", err)
+		t.Fatalf("MakeWellPosed: %v", err)
 	}
 	if added != 1 {
 		t.Errorf("added = %d, want 1", added)
 	}
+	s, err := relsched.Compute(wp)
+	if err != nil {
+		t.Fatalf("Compute: %v", err)
+	}
 	if err := relsched.Verify(s); err != nil {
 		t.Errorf("Verify: %v", err)
 	}
-	if _, _, err := relsched.ComputeWellPosed(paperex.Fig3a()); err == nil {
-		t.Error("ComputeWellPosed should fail on Fig3a")
+	if _, _, err := relsched.MakeWellPosed(paperex.Fig3a()); err == nil {
+		t.Error("MakeWellPosed should fail on Fig3a")
 	}
 }

@@ -65,7 +65,7 @@ func TestAnalyzeFromSets(t *testing.T) {
 			t.Fatalf("%s: analyses differ: fused %v, oracle %v", label, fused, oracle)
 		}
 
-		got, err := relsched.ComputeFromAnalysis(fused)
+		got, err := relsched.ComputeFromAnalysis(fused, nil)
 		if err != nil {
 			t.Fatalf("%s: schedule from fused analysis: %v", label, err)
 		}

@@ -23,7 +23,7 @@ func TestScheduleHooks(t *testing.T) {
 		RelaxationSweep: func(it int) { sweeps = append(sweeps, it) },
 		Readjustment:    func(n int) { raised = append(raised, n) },
 	}
-	s, err := relsched.ComputeFromAnalysisTraced(info, h)
+	s, err := relsched.ComputeFromAnalysis(info, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestScheduleHooks(t *testing.T) {
 			t.Errorf("readjustment %d raised 0 offsets but the loop continued", i)
 		}
 	}
-	cold, err := relsched.ComputeFromAnalysis(info)
+	cold, err := relsched.ComputeFromAnalysis(info, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +59,10 @@ func TestScheduleHooks(t *testing.T) {
 		t.Error("traced schedule differs from untraced schedule")
 	}
 	// Nil hooks — both the struct and individual fields — are valid.
-	if _, err := relsched.ComputeFromAnalysisTraced(info, nil); err != nil {
+	if _, err := relsched.ComputeFromAnalysis(info, nil); err != nil {
 		t.Errorf("nil hooks: %v", err)
 	}
-	if _, err := relsched.ComputeFromAnalysisTraced(info, &relsched.Hooks{}); err != nil {
+	if _, err := relsched.ComputeFromAnalysis(info, &relsched.Hooks{}); err != nil {
 		t.Errorf("empty hooks: %v", err)
 	}
 }

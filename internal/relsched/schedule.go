@@ -209,33 +209,12 @@ func Compute(g *cg.Graph) (*Schedule, error) {
 
 // ComputeFromAnalysis runs the iterative incremental scheduling of
 // Theorem 8 against an existing anchor-set analysis, skipping the
-// well-posedness re-check. The
-// graph behind info must be well-posed; use Compute when in doubt. This
-// entry point exists for callers that schedule the same graph repeatedly
-// (benchmarks, conflict-resolution search).
-func ComputeFromAnalysis(info *AnchorInfo) (*Schedule, error) {
-	return schedule(info, nil)
-}
-
-// ComputeFromAnalysisTraced is ComputeFromAnalysis with an optional trace
-// hook observing the relaxation loop (see Hooks). A nil hook is valid and
-// equivalent to ComputeFromAnalysis.
-func ComputeFromAnalysisTraced(info *AnchorInfo, h *Hooks) (*Schedule, error) {
+// well-posedness re-check. The graph behind info must be well-posed; use
+// Compute when in doubt. h, when non-nil, observes the relaxation loop
+// (see Hooks). This entry point exists for callers that already hold
+// the analysis (the engine, benchmarks, conflict-resolution search).
+func ComputeFromAnalysis(info *AnchorInfo, h *Hooks) (*Schedule, error) {
 	return schedule(info, h)
-}
-
-// ComputeWellPosed is Compute for graphs that may be ill-posed: it first
-// applies MakeWellPosed (the paper's makeWellposed, Theorem 7) and then
-// schedules the serialized graph. The
-// returned schedule's G field is the (possibly serialized) graph; added
-// reports how many serialization edges were introduced.
-func ComputeWellPosed(g *cg.Graph) (sched *Schedule, added int, err error) {
-	wp, added, err := MakeWellPosed(g)
-	if err != nil {
-		return nil, added, err
-	}
-	sched, err = Compute(wp)
-	return sched, added, err
 }
 
 // sigma returns the current offset of v relative to anchor index ai. ok is

@@ -41,7 +41,8 @@ func ComputeTrace(g *cg.Graph) (*Schedule, *Trace, error) {
 	active := make([]uint64, nV*((nA+63)/64))
 	seedOffsets(off, active, info)
 	tr := &Trace{Info: info}
-	snapshot := func(iter int, readjust bool) {
+	iter := 0
+	snapshot := func(readjust bool) {
 		cp := make([][]int, nA)
 		for ai := range cp {
 			row := make([]int, nV)
@@ -52,18 +53,22 @@ func ComputeTrace(g *cg.Graph) (*Schedule, *Trace, error) {
 		}
 		tr.Phases = append(tr.Phases, TracePhase{Iteration: iter, Readjust: readjust, Off: cp})
 	}
-	csr := g.CSR()
-	maxIter := len(csr.BwdFrom) + 1
-	for c := 1; c <= maxIter; c++ {
-		sweepForward(csr, off, nA, active)
-		snapshot(c, false)
-		if readjust(csr, off, nA, active) == 0 {
-			s := &Schedule{G: g, Iterations: c, cols: bindCols(off, nA, nV), gen: g.Generation()}
-			s.Info = info.withIrredundant(s.cols)
-			tr.Info = s.Info
-			return s, tr, nil
-		}
-		snapshot(c, true)
+	iters, err := solve(g.CSR(), off, nA, active, &Hooks{
+		RelaxationSweep: func(i int) {
+			iter = i
+			snapshot(false)
+		},
+		Readjustment: func(raised int) {
+			if raised > 0 {
+				snapshot(true)
+			}
+		},
+	})
+	if err != nil {
+		return nil, tr, err
 	}
-	return nil, tr, ErrInconsistent
+	s := &Schedule{G: g, Iterations: iters, cols: bindCols(off, nA, nV), gen: g.Generation()}
+	s.Info = info.withIrredundant(s.cols)
+	tr.Info = s.Info
+	return s, tr, nil
 }

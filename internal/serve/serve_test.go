@@ -470,6 +470,14 @@ func TestIntakeRefusals(t *testing.T) {
 	if got := post(`[]`); got != http.StatusBadRequest {
 		t.Errorf("empty batch = %d, want 400", got)
 	}
+	// A timeout_ms whose duration overflows int64 nanoseconds would wrap
+	// to a deadline of a few nanoseconds or microseconds.
+	for _, ms := range []int64{76480200929599801, 18446744073710, maxTimeoutMS + 1} {
+		body, _ := json.Marshal(JobRequest{Source: simpleCG, TimeoutMS: ms})
+		if got := post(string(body)); got != http.StatusBadRequest {
+			t.Errorf("timeout_ms %d = %d, want 400", ms, got)
+		}
+	}
 	if got := post(singleJob("dup")); got != http.StatusAccepted {
 		t.Fatalf("first dup = %d, want 202", got)
 	}

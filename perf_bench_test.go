@@ -82,7 +82,7 @@ func BenchmarkScheduleCold(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, info := range infos {
-					if _, err := relsched.ComputeFromAnalysis(info); err != nil {
+					if _, err := relsched.ComputeFromAnalysis(info, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
