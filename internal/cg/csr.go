@@ -33,15 +33,11 @@ type CSR struct {
 
 	// Bwd* is the backward edge set E_b in insertion order — the edges
 	// ReadjustOffset scans. BwdW is the (negative) edge weight -u.
+	// The Bellman–Ford longest-path solvers iterate Topo* then Bwd*, which
+	// together hold every edge once.
 	BwdFrom []int32
 	BwdTo   []int32
 	BwdW    []int
-
-	// All* is every edge in insertion order with minimum weights — the
-	// iteration set of the Bellman–Ford longest-path solvers.
-	AllFrom []int32
-	AllTo   []int32
-	AllW    []int
 }
 
 // N returns the number of vertices the view covers.
@@ -85,9 +81,6 @@ func buildCSR(g *Graph) *CSR {
 		OutTo:    make([]int32, m),
 		OutUnb:   make([]bool, m),
 		OutFwd:   make([]bool, m),
-		AllFrom:  make([]int32, m),
-		AllTo:    make([]int32, m),
-		AllW:     make([]int, m),
 	}
 	pos := 0
 	for v := 0; v < n; v++ {
@@ -102,10 +95,7 @@ func buildCSR(g *Graph) *CSR {
 	}
 	c.OutStart[n] = int32(pos)
 
-	for i, e := range g.edges {
-		c.AllFrom[i] = int32(e.From)
-		c.AllTo[i] = int32(e.To)
-		c.AllW[i] = e.MinWeight()
+	for _, e := range g.edges {
 		if !e.Kind.Forward() {
 			c.BwdFrom = append(c.BwdFrom, int32(e.From))
 			c.BwdTo = append(c.BwdTo, int32(e.To))

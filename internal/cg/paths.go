@@ -97,37 +97,43 @@ func (g *Graph) LongestFrom(src VertexID) ([]int, bool) {
 
 // relaxLongest runs the Bellman–Ford longest-path relaxation over the flat
 // edge arrays until fixpoint, bounded by n-1 sweeps plus the positive-cycle
-// check. dist must be pre-seeded; ok is false on a reachable positive
-// cycle. The sweep order matches the insertion-order edge slice, so the
-// per-sweep intermediate values equal the unfrozen path's.
+// check: a further sweep that still raises a distance. dist must be
+// pre-seeded; ok is false on a reachable positive cycle.
 func (c *CSR) relaxLongest(dist []int, n int) bool {
-	from, to, w := c.AllFrom, c.AllTo, c.AllW
 	for iter := 0; iter < n-1; iter++ {
-		changed := false
-		for k := range from {
-			f := dist[from[k]]
-			if f == Unreachable {
-				continue
-			}
-			if d := f + w[k]; d > dist[to[k]] {
-				dist[to[k]] = d
-				changed = true
-			}
-		}
-		if !changed {
+		if !c.sweepLongest(dist) {
 			return true
 		}
 	}
+	return !c.sweepLongest(dist)
+}
+
+// sweepLongest is one Bellman–Ford pass over every edge — the forward
+// edges in topological order, then the backward edges — raising each
+// head's distance to its tail's plus the edge's minimum weight, except
+// from tails still at Unreachable. It reports whether any distance rose.
+// The order only speeds convergence: the fixpoint, and whether one exists,
+// do not depend on it.
+func (c *CSR) sweepLongest(dist []int) bool {
+	fwd := relaxEdges(dist, c.TopoFrom, c.TopoTo, c.TopoW)
+	return relaxEdges(dist, c.BwdFrom, c.BwdTo, c.BwdW) || fwd
+}
+
+// relaxEdges relaxes the edges from[k] → to[k] of weight w[k] in order,
+// skipping tails at Unreachable, and reports whether any distance rose.
+func relaxEdges(dist []int, from, to []int32, w []int) bool {
+	changed := false
 	for k := range from {
 		f := dist[from[k]]
 		if f == Unreachable {
 			continue
 		}
-		if f+w[k] > dist[to[k]] {
-			return false
+		if d := f + w[k]; d > dist[to[k]] {
+			dist[to[k]] = d
+			changed = true
 		}
 	}
-	return true
+	return changed
 }
 
 // LongestFromInduced returns longest-path distances from src in the
@@ -179,16 +185,9 @@ func (g *Graph) HasPositiveCycle() bool {
 	n := len(g.vertices)
 	dist := make([]int, n) // all zero: the virtual source relaxation
 	if c := g.csrView(); c != nil {
-		from, to, w := c.AllFrom, c.AllTo, c.AllW
+		// Distances start at 0 and only rise, so no tail is Unreachable.
 		for iter := 0; iter < n; iter++ {
-			changed := false
-			for k := range from {
-				if d := dist[from[k]] + w[k]; d > dist[to[k]] {
-					dist[to[k]] = d
-					changed = true
-				}
-			}
-			if !changed {
+			if !c.sweepLongest(dist) {
 				return false
 			}
 		}

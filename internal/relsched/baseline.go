@@ -1,6 +1,8 @@
 package relsched
 
 import (
+	"slices"
+
 	"repro/internal/cg"
 )
 
@@ -73,9 +75,7 @@ func DecompositionSchedule(info *AnchorInfo) (*Schedule, error) {
 		}
 	}
 	// One longest-path solve per anchor.
-	s := &Schedule{G: g, Iterations: nA, cols: bindCols(off, nA, nV), gen: g.Generation()}
-	s.Info = info.withIrredundant(s.cols)
-	return s, nil
+	return newSchedule(info, nA, off, definedBits(off, nA, nV), nil), nil
 }
 
 // EqualOffsets reports whether two schedules assign identical offsets
@@ -86,6 +86,8 @@ func EqualOffsets(a, b *Schedule) bool {
 	if a.G != b.G || a.cols.n != b.cols.n {
 		return false
 	}
+	// Columns hold exactly the defined offsets in anchor order, so equal
+	// offsets are equal columns.
 	for v := 0; v < a.cols.n; v++ {
 		ca, cb := a.cols.col(v), b.cols.col(v)
 		if len(ca) != len(cb) {
@@ -94,10 +96,8 @@ func EqualOffsets(a, b *Schedule) bool {
 		if len(ca) > 0 && &ca[0] == &cb[0] {
 			continue // copy-on-write chains share unchanged columns
 		}
-		for ai := range ca {
-			if ca[ai] != cb[ai] {
-				return false
-			}
+		if !slices.Equal(ca, cb) {
+			return false
 		}
 	}
 	return true

@@ -36,6 +36,12 @@ func agreeWithReference(t *testing.T, label string, s *relsched.Schedule) {
 	if err := relsched.Verify(s); err != nil {
 		t.Fatalf("%s: Verify: %v", label, err)
 	}
+	// Verify reads offsets through the accessor, which cannot tell a
+	// stored NoOffset pair from an absent one; the packed form is checked
+	// on the table itself.
+	if err := relsched.CheckColumns(s); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
 	// The analysis tables must match set-for-set, not just through the
 	// Offset projection: Full (Theorem 2 containment), Relevant
 	// (Definitions 8–9), Irredundant (Definition 11).
@@ -539,5 +545,51 @@ func TestInsertAllocs(t *testing.T) {
 	}
 	if best*8 > table {
 		t.Errorf("insert allocates %d bytes, not far below the %d-byte σ table", best, table)
+	}
+}
+
+// TestSigmaTablePacked pins the size of the packed σ table at the shape of
+// the whatif-edit workload (N=2000, 200 minimum and 200 maximum
+// constraints): at most 16 bytes per defined offset plus one 24-byte
+// header per vertex and per chunk of headers, and below 1/16 of the dense
+// 8·|V|·|A| table. The defined offsets are counted from g.LongestFrom, not
+// from the table, and the bytes are read from the table itself, so the
+// bound holds under -race as well.
+func TestSigmaTablePacked(t *testing.T) {
+	if testing.Short() {
+		t.Skip("N=2000 schedule")
+	}
+	cfg := randgraph.Default()
+	cfg.N, cfg.MinConstraints, cfg.MaxConstraints = 2000, 200, 200
+	rng := rand.New(rand.NewSource(1))
+	var s *relsched.Schedule
+	for s == nil {
+		s, _ = relsched.Compute(randgraph.Generate(cfg, rng))
+	}
+	if err := relsched.CheckColumns(s); err != nil {
+		t.Fatal(err)
+	}
+	g := s.G
+	nA, nV := s.Info.NumAnchors(), g.N()
+	defined := 0
+	for _, a := range s.Info.List {
+		dist, ok := g.LongestFrom(a)
+		if !ok {
+			t.Fatalf("positive cycle reachable from anchor %s", g.Name(a))
+		}
+		for _, d := range dist {
+			if d != cg.Unreachable {
+				defined++
+			}
+		}
+	}
+	chunks := (nV + 255) / 256
+	got, dense := relsched.SigmaBytes(s), 8*nV*nA
+	t.Logf("|A|=%d |V|=%d: %d defined offsets (%.1f per vertex) in %d bytes; dense %d bytes", nA, nV, defined, float64(defined)/float64(nV), got, dense)
+	if limit := 16*defined + 24*(nV+chunks); got > limit {
+		t.Errorf("σ table holds %d bytes, want at most 16·%d + 24·(%d+%d) = %d", got, defined, nV, chunks, limit)
+	}
+	if got*16 >= dense {
+		t.Errorf("σ table holds %d bytes, want below 1/16 of the dense %d", got, dense)
 	}
 }

@@ -123,7 +123,7 @@ func (ex *Explainer) Explain(v cg.VertexID, mode AnchorMode) (*VertexProvenance,
 		if !s.inMode(ai, v, mode) {
 			continue
 		}
-		off := s.cols.col(int(v))[ai]
+		off := s.cols.at(int(v), ai)
 		if off == NoOffset {
 			// Anchor-set membership without an offset cannot happen on a
 			// well-posed scheduled graph; guard anyway.
@@ -141,8 +141,8 @@ func (ex *Explainer) Explain(v cg.VertexID, mode AnchorMode) (*VertexProvenance,
 			}
 		}
 		// σ is length(a, ·) (Theorem 3), and off is defined here.
-		if sink != cg.None && s.cols.col(int(sink))[ai] != NoOffset && ex.toSink[v] != cg.Unreachable {
-			b.Slack = s.cols.col(int(sink))[ai] - off - ex.toSink[v]
+		if sink != cg.None && s.cols.at(int(sink), ai) != NoOffset && ex.toSink[v] != cg.Unreachable {
+			b.Slack = s.cols.at(int(sink), ai) - off - ex.toSink[v]
 		}
 		vp.Bindings = append(vp.Bindings, b)
 	}
@@ -179,7 +179,7 @@ func (ex *Explainer) maxConstraints(v cg.VertexID) []MaxConstraintStatus {
 		st := MaxConstraintStatus{EdgeIndex: ei, Other: e.To, U: -e.Weight}
 		margin, any := 0, false
 		for ai := range s.Info.List {
-			ov, oo := s.cols.col(int(v))[ai], s.cols.col(int(e.To))[ai]
+			ov, oo := s.cols.at(int(v), ai), s.cols.at(int(e.To), ai)
 			if ov == NoOffset || oo == NoOffset {
 				continue
 			}
@@ -212,7 +212,7 @@ func (s *Schedule) bindingChain(ai int, v cg.VertexID) ([]ChainStep, error) {
 		return nil, nil
 	}
 	visited := make([]bool, g.N())
-	off := func(u cg.VertexID) int { return s.cols.col(int(u))[ai] }
+	off := func(u cg.VertexID) int { return s.cols.at(int(u), ai) }
 	var steps []ChainStep
 	var dfs func(u cg.VertexID) bool
 	dfs = func(u cg.VertexID) bool {

@@ -356,7 +356,7 @@ func (r *referenceSchedule) readjustOffsets(backward []int) int {
 	return raised
 }
 
-// toSchedule copies the row table into a vertex-major Schedule so the
+// toSchedule packs the row table into a Schedule's columns so the
 // result is directly comparable (EqualOffsets, Offset, renderers) with the
 // optimized pipeline's output. An analysis from Analyze carries no
 // irredundant sets; they are then derived from the reference offsets.
@@ -369,9 +369,9 @@ func (r *referenceSchedule) toSchedule() *Schedule {
 			off[v*nA+ai] = o
 		}
 	}
-	s := &Schedule{G: g, Info: r.info, Iterations: r.iterations, cols: bindCols(off, nA, nV), gen: g.Generation()}
+	active := definedBits(off, nA, nV)
 	if r.info.Irredundant == nil {
-		s.Info = r.info.withIrredundant(s.cols)
+		return newSchedule(r.info, r.iterations, off, active, nil)
 	}
-	return s
+	return &Schedule{G: g, Info: r.info, Iterations: r.iterations, cols: packCols(off, active, nA, nV), gen: g.Generation()}
 }

@@ -48,12 +48,12 @@ func (s *Schedule) ComputeSlack() *SlackInfo {
 	// σ_a(v) is length(a, v) (Theorem 3), so the offsets supply the
 	// anchor-side lengths; NoOffset marks the vertices a cannot reach.
 	for ai := range s.Info.List {
-		sinkDist := s.cols.col(int(sink))[ai]
+		sinkDist := s.cols.at(int(sink), ai)
 		if sinkDist == NoOffset {
 			continue
 		}
 		for v := 0; v < s.cols.n; v++ {
-			d := s.cols.col(v)[ai]
+			d := s.cols.at(v, ai)
 			if d == NoOffset || toSink[v] == cg.Unreachable {
 				continue
 			}

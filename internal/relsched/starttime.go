@@ -70,7 +70,7 @@ func (s *Schedule) StartTimes(p DelayProfile, mode AnchorMode) ([]int, error) {
 				perr = err
 				return
 			}
-			if cand := t[a] + d + s.cols.col(int(v))[ai]; cand > best {
+			if cand := t[a] + d + s.cols.at(int(v), ai); cand > best {
 				best = cand
 			}
 		})

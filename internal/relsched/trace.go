@@ -37,7 +37,7 @@ func ComputeTrace(g *cg.Graph) (*Schedule, *Trace, error) {
 		return nil, nil, err
 	}
 	nA, nV := len(info.List), g.N()
-	off := make([]int, nA*nV) // unpooled: the returned schedule owns it
+	off := make([]int, nA*nV)
 	active := make([]uint64, nV*((nA+63)/64))
 	seedOffsets(off, active, info)
 	tr := &Trace{Info: info}
@@ -67,8 +67,7 @@ func ComputeTrace(g *cg.Graph) (*Schedule, *Trace, error) {
 	if err != nil {
 		return nil, tr, err
 	}
-	s := &Schedule{G: g, Iterations: iters, cols: bindCols(off, nA, nV), gen: g.Generation()}
-	s.Info = info.withIrredundant(s.cols)
+	s := newSchedule(info, iters, off, active, nil)
 	tr.Info = s.Info
 	return s, tr, nil
 }

@@ -43,7 +43,7 @@ func Verify(s *Schedule) error {
 			if s.Info.Full[v].Has(ai) && dist[v] == cg.Unreachable {
 				return fmt.Errorf("relsched: anchor %s in A(%s) but no path", g.Name(a), g.Name(cg.VertexID(v)))
 			}
-			if got := s.cols.col(v)[ai]; got != dist[v] {
+			if got := s.cols.at(v, ai); got != dist[v] {
 				return fmt.Errorf("relsched: σ_%s(%s)=%d differs from longest path %d (Theorem 3)",
 					g.Name(a), g.Name(cg.VertexID(v)), got, dist[v])
 			}

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -157,9 +157,10 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // array of objects, or JSONL (one object per line, blank and '#' lines
 // skipped — the same conventions as `relsched batch -manifest`). JSONL
 // is selected by Content-Type (application/x-ndjson or
-// application/jsonl); everything else is decoded by shape.
+// application/jsonl); everything else is decoded by shape. The body is
+// read once and decoded in place, never copied.
 func decodeJobRequests(r *http.Request) ([]JobRequest, error) {
-	data, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxRequestBody))
+	data, err := readBody(r)
 	if err != nil {
 		return nil, err
 	}
@@ -171,8 +172,7 @@ func decodeJobRequests(r *http.Request) ([]JobRequest, error) {
 	case "application/x-ndjson", "application/jsonl", "application/x-jsonlines":
 		return decodeJSONL(data)
 	}
-	trimmed := strings.TrimSpace(string(data))
-	if strings.HasPrefix(trimmed, "[") {
+	if bytes.HasPrefix(bytes.TrimSpace(data), []byte("[")) {
 		var reqs []JobRequest
 		if err := json.Unmarshal(data, &reqs); err != nil {
 			return nil, fmt.Errorf("invalid JSON: %w", err)
@@ -186,26 +186,37 @@ func decodeJobRequests(r *http.Request) ([]JobRequest, error) {
 	return []JobRequest{req}, nil
 }
 
-// decodeJSONL parses one JobRequest per line.
+// readBody reads the request body, at most maxRequestBody bytes. A valid
+// Content-Length sizes the buffer exactly, so the read allocates the body
+// once; without one the buffer grows as io.ReadAll grows it.
+func readBody(r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(nil, r.Body, maxRequestBody)
+	if n := r.ContentLength; n > 0 && n <= maxRequestBody {
+		data := make([]byte, n)
+		if _, err := io.ReadFull(body, data); err != nil {
+			return nil, err
+		}
+		return data, nil
+	}
+	return io.ReadAll(body)
+}
+
+// decodeJSONL parses one JobRequest per line of data, split on '\n' in
+// place; a line's surrounding space, a trailing '\r' included, is trimmed.
 func decodeJSONL(data []byte) ([]JobRequest, error) {
 	var reqs []JobRequest
-	sc := bufio.NewScanner(strings.NewReader(string(data)))
-	sc.Buffer(make([]byte, 0, 64*1024), maxRequestBody)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+	for line := 1; len(data) > 0; line++ {
+		var text []byte
+		text, data, _ = bytes.Cut(data, []byte{'\n'})
+		text = bytes.TrimSpace(text)
+		if len(text) == 0 || text[0] == '#' {
 			continue
 		}
 		var req JobRequest
-		if err := json.Unmarshal([]byte(text), &req); err != nil {
+		if err := json.Unmarshal(text, &req); err != nil {
 			return nil, fmt.Errorf("line %d: %w", line, err)
 		}
 		reqs = append(reqs, req)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	return reqs, nil
 }
