@@ -131,12 +131,12 @@ func TestDifferential_RandomCorpus(t *testing.T) {
 }
 
 // TestScheduleColdAllocs pins the steady-state allocation count of the
-// pooled cold scheduling stage: the Schedule header, the offset arena and
-// its two-level table of column views (the arena transfers to the
-// returned schedule; the active-anchor bitset recycles through the pool),
-// plus the completed analysis — its header copy, the irredundant-set
-// arena (two allocations) and the domination test's scratch list. A
-// regression here means the sync.Pool lifecycle broke.
+// pooled cold scheduling stage: the Schedule header, the packed σ pairs
+// and their two-level table of column views (the dense offset arena and
+// the active-anchor bitset recycle through the pool), plus the completed
+// analysis — its header copy, the irredundant-set arena (two
+// allocations) and the domination test's scratch list. A regression here
+// means the sync.Pool lifecycle broke.
 func TestScheduleColdAllocs(t *testing.T) {
 	r, err := designs.Frisc().Synthesize()
 	if err != nil {
