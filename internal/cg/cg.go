@@ -37,8 +37,9 @@ const None VertexID = -1
 // either bounded (a fixed non-negative cycle count) or unbounded (unknown
 // at compile time, taking any value in [0, ∞)).
 type Delay struct {
-	bounded bool
-	cycles  int
+	// c is 0 for an unbounded delay and cycles+1 for a bounded one, so
+	// the zero value is unbounded and a Vertex stays at 32 bytes.
+	c int
 }
 
 // Cycles returns a bounded delay of n cycles. It panics if n is negative,
@@ -47,7 +48,7 @@ func Cycles(n int) Delay {
 	if n < 0 {
 		panic(fmt.Sprintf("cg: negative delay %d", n))
 	}
-	return Delay{bounded: true, cycles: n}
+	return Delay{c: n + 1}
 }
 
 // UnboundedDelay returns the unbounded execution delay δ ∈ [0, ∞); vertices
@@ -55,30 +56,30 @@ func Cycles(n int) Delay {
 func UnboundedDelay() Delay { return Delay{} }
 
 // Bounded reports whether the delay is known at compile time.
-func (d Delay) Bounded() bool { return d.bounded }
+func (d Delay) Bounded() bool { return d.c != 0 }
 
 // Value returns the cycle count of a bounded delay. It panics for
 // unbounded delays, whose value does not exist at compile time.
 func (d Delay) Value() int {
-	if !d.bounded {
+	if d.c == 0 {
 		panic("cg: Value on unbounded delay")
 	}
-	return d.cycles
+	return d.c - 1
 }
 
 // Min returns the minimum value the delay can assume: the fixed cycle
 // count for bounded delays and 0 for unbounded delays.
 func (d Delay) Min() int {
-	if d.bounded {
-		return d.cycles
+	if d.c == 0 {
+		return 0
 	}
-	return 0
+	return d.c - 1
 }
 
 // String renders the delay as a cycle count or "δ" for unbounded.
 func (d Delay) String() string {
-	if d.bounded {
-		return fmt.Sprintf("%d", d.cycles)
+	if d.c != 0 {
+		return fmt.Sprintf("%d", d.c-1)
 	}
 	return "δ"
 }
@@ -93,8 +94,9 @@ type Vertex struct {
 
 // EdgeKind classifies how an edge entered the constraint graph. The
 // classification matches Table I of the paper, plus Serialization for the
-// forward edges added by MakeWellPosed.
-type EdgeKind int
+// forward edges added by MakeWellPosed. It is one byte, so it shares a
+// word of Edge with Unbounded.
+type EdgeKind uint8
 
 const (
 	// Sequencing is a dependency edge (v_i, v_j) of weight δ(v_i).
@@ -129,12 +131,14 @@ func (k EdgeKind) Forward() bool { return k != MaxConstraint }
 
 // Edge is a weighted directed edge of the constraint graph — a member of
 // E_f or E_b in the §III model; Kind records its Table I origin.
+//
+// An Edge is 32 bytes: Kind and Unbounded share the last word.
 type Edge struct {
 	From, To VertexID
-	Kind     EdgeKind
 	// Weight is the bounded part of the edge weight. For unbounded edges
 	// it is ignored in favour of the tail's delay δ(From).
 	Weight int
+	Kind   EdgeKind
 	// Unbounded marks edges whose weight is the unbounded delay δ(From).
 	// Longest-path computations use the minimum value 0 for such edges.
 	Unbounded bool
@@ -174,14 +178,25 @@ type Graph struct {
 	edges    []Edge
 	frozen   bool
 
-	// out and in map each vertex to the indices of its edges (all kinds),
-	// in edge-index order. They are nil until first read (see adjacency),
-	// so a graph built in one go lays them out once, from the edge list.
-	// flat reports that they are still the views buildAdjacency carved
-	// from one backing array each; Freeze lays them out again otherwise.
-	out  [][]int
-	in   [][]int
-	flat bool
+	// The adjacency, in int32 CSR form: the indices of the edges leaving
+	// v are outIdx[outStart[v]:outStart[v+1]], those entering v
+	// inIdx[inStart[v]:inStart[v+1]], each in edge-index order. They are
+	// nil until first read (see buildAdjacency), so a graph built in one
+	// go lays them out once, from the edge list, at 8 bytes per vertex
+	// and per edge.
+	outStart, outIdx []int32
+	inStart, inIdx   []int32
+
+	// out and in are per-vertex list headers, carved over the index
+	// arrays by the first mutation after the layout: an addition before
+	// Freeze, or an edit (delta.go) after it. That mutation edits them
+	// from then on; while they exist, they are the adjacency, and Freeze
+	// lays a graph that has them out again. They are nil exactly when
+	// the index arrays are the adjacency, so OutEdges and InEdges test
+	// one field on that path and stay inlinable; a graph whose adjacency
+	// is not laid out yet holds them empty, and headers are never empty,
+	// since every graph has its source.
+	out, in [][]int32
 
 	// generation counts structural mutations (vertex, edge, or constraint
 	// additions) so external analysis caches can detect staleness without
@@ -225,6 +240,8 @@ func NewSized(ops, edges int) *Graph {
 	g := &Graph{
 		vertices: make([]Vertex, 0, ops+1),
 		edges:    make([]Edge, 0, edges),
+		out:      [][]int32{},
+		in:       [][]int32{},
 	}
 	g.addVertex("v0", UnboundedDelay())
 	return g
@@ -267,12 +284,12 @@ func (g *Graph) addVertex(name string, d Delay) VertexID {
 	if name == "" {
 		name = fmt.Sprintf("v%d", id)
 	}
-	g.vertices = append(g.vertices, Vertex{ID: id, Name: name, Delay: d})
-	if g.out != nil {
+	if g.outStart != nil {
+		g.lists()
 		g.out = append(g.out, nil)
 		g.in = append(g.in, nil)
-		g.flat = false
 	}
+	g.vertices = append(g.vertices, Vertex{ID: id, Name: name, Delay: d})
 	return id
 }
 
@@ -356,46 +373,67 @@ func (g *Graph) addEdge(e Edge) int {
 	}
 	i := len(g.edges)
 	g.edges = append(g.edges, e)
-	if g.out != nil {
-		g.out[e.From] = append(g.out[e.From], i)
-		g.in[e.To] = append(g.in[e.To], i)
-		g.flat = false
+	if g.outStart != nil {
+		g.lists()
+		g.out[e.From] = append(g.out[e.From], int32(i))
+		g.in[e.To] = append(g.in[e.To], int32(i))
 	}
 	return i
 }
 
-// adjacency makes sure out and in exist. A graph under construction
-// builds them on first read; from then on additions append to them.
-func (g *Graph) adjacency() {
-	if g.out == nil {
-		g.buildAdjacency()
+// buildAdjacency lays out the int32 CSR adjacency from the edge list by a
+// counting sort: the start arrays share one allocation, the index arrays
+// another. It drops any list headers.
+func (g *Graph) buildAdjacency() {
+	n, m := len(g.vertices), len(g.edges)
+	start := make([]int32, 2*(n+1))
+	idx := make([]int32, 2*m)
+	out, in := start[:n+1:n+1], start[n+1:]
+	for i := range g.edges {
+		e := &g.edges[i]
+		out[e.From]++
+		in[e.To]++
 	}
+	// Inclusive prefix sums make each start the end of its vertex's
+	// range; filling backwards moves it down to the range's beginning
+	// and leaves every range in edge-index order.
+	for v := 1; v < n; v++ {
+		out[v] += out[v-1]
+		in[v] += in[v-1]
+	}
+	out[n], in[n] = int32(m), int32(m)
+	outIdx, inIdx := idx[:m:m], idx[m:]
+	for i := m - 1; i >= 0; i-- {
+		e := &g.edges[i]
+		out[e.From]--
+		outIdx[out[e.From]] = int32(i)
+		in[e.To]--
+		inIdx[in[e.To]] = int32(i)
+	}
+	g.outStart, g.outIdx, g.inStart, g.inIdx = out, outIdx, in, inIdx
+	g.out, g.in = nil, nil
 }
 
-// buildAdjacency lays out out and in from the edge list: the headers
-// share one allocation, the edge indices another, and each vertex's list
-// is a view with cap == len, so an edit that later appends to one vertex
-// reallocates that vertex's list instead of writing into a neighbour's.
-func (g *Graph) buildAdjacency() {
-	n := len(g.vertices)
-	deg := make([]int, 2*n) // out-degrees, then in-degrees
-	for _, e := range g.edges {
-		deg[e.From]++
-		deg[n+int(e.To)]++
+// lists makes sure the per-vertex list headers exist, carving them, in
+// one allocation, over the index arrays: each list is a view with cap ==
+// len, so a later append to one vertex's list reallocates that list
+// instead of writing into a neighbour's range. Only mutations call it.
+func (g *Graph) lists() {
+	if len(g.out) > 0 {
+		return
 	}
-	idx := make([]int, 2*len(g.edges))
-	lists := make([][]int, 2*n)
-	off := 0
-	for v, d := range deg {
-		lists[v] = idx[off : off : off+d]
-		off += d
+	if g.outStart == nil {
+		g.buildAdjacency()
 	}
-	g.out, g.in = lists[:n:n], lists[n:]
-	for i, e := range g.edges {
-		g.out[e.From] = append(g.out[e.From], i)
-		g.in[e.To] = append(g.in[e.To], i)
+	n := len(g.outStart) - 1
+	hdr := make([][]int32, 2*n)
+	for v := 0; v < n; v++ {
+		a, b := g.outStart[v], g.outStart[v+1]
+		hdr[v] = g.outIdx[a:b:b]
+		a, b = g.inStart[v], g.inStart[v+1]
+		hdr[n+v] = g.inIdx[a:b:b]
 	}
-	g.flat = true
+	g.out, g.in = hdr[:n:n], hdr[n:]
 }
 
 func (g *Graph) check(id VertexID) {
@@ -458,29 +496,52 @@ func (g *Graph) AddSerialization(a, v VertexID) {
 }
 
 // OutEdges returns the indices of edges leaving v. Callers must not modify
-// the returned slice.
-func (g *Graph) OutEdges(v VertexID) []int {
-	g.adjacency()
+// or append to the returned slice: it can be a view into an index array
+// that v's neighbours share.
+func (g *Graph) OutEdges(v VertexID) []int32 {
+	if g.out == nil {
+		return g.outIdx[g.outStart[v]:g.outStart[v+1]]
+	}
+	return g.outList(v)
+}
+
+// outList is OutEdges off the CSR path: v's list header, or, before the
+// adjacency is laid out, its CSR range once laid out.
+func (g *Graph) outList(v VertexID) []int32 {
+	if len(g.out) == 0 {
+		g.buildAdjacency()
+		return g.OutEdges(v)
+	}
 	return g.out[v]
 }
 
 // InEdges returns the indices of edges entering v. Callers must not modify
-// the returned slice.
-func (g *Graph) InEdges(v VertexID) []int {
-	g.adjacency()
+// or append to the returned slice, as with OutEdges.
+func (g *Graph) InEdges(v VertexID) []int32 {
+	if g.in == nil {
+		return g.inIdx[g.inStart[v]:g.inStart[v+1]]
+	}
+	return g.inList(v)
+}
+
+// inList is InEdges off the CSR path, as outList is for OutEdges.
+func (g *Graph) inList(v VertexID) []int32 {
+	if len(g.in) == 0 {
+		g.buildAdjacency()
+		return g.InEdges(v)
+	}
 	return g.in[v]
 }
 
 // ForwardOut iterates over the forward edges leaving v, calling fn with
 // each edge index. Iteration stops early if fn returns false.
 func (g *Graph) ForwardOut(v VertexID, fn func(i int, e Edge) bool) {
-	g.adjacency()
-	for _, i := range g.out[v] {
+	for _, i := range g.OutEdges(v) {
 		e := g.edges[i]
 		if !e.Kind.Forward() {
 			continue
 		}
-		if !fn(i, e) {
+		if !fn(int(i), e) {
 			return
 		}
 	}
@@ -540,13 +601,14 @@ func (g *Graph) IsAnchor(v VertexID) bool {
 // reachable from the source in G_f, and the sink — the unique vertex with
 // no outgoing forward edges — reachable from every vertex).
 //
-// Freeze lays the adjacency out flat (see buildAdjacency) unless it
-// already is, and keeps the topological order validation sorted.
+// Freeze lays the adjacency out as int32 CSR (see buildAdjacency) unless
+// it already is, keeps the topological order validation sorted, and
+// builds the sweep arrays (see CSR) from the two.
 func (g *Graph) Freeze() error {
 	if g.frozen {
 		return nil
 	}
-	if !g.flat {
+	if g.out != nil {
 		g.buildAdjacency()
 	}
 	order, err := g.validate()
@@ -595,6 +657,8 @@ func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		vertices:   make([]Vertex, len(g.vertices)),
 		edges:      make([]Edge, len(g.edges)),
+		out:        [][]int32{},
+		in:         [][]int32{},
 		generation: g.generation,
 	}
 	copy(c.vertices, g.vertices)

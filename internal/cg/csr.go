@@ -1,10 +1,12 @@
 package cg
 
-// CSR is the frozen compressed-sparse-row view of a Graph: the same edges
-// as Edges()/OutEdges(), relaid as flat struct-of-arrays so the hot
-// scheduling loops (anchor-set propagation, longest-path relaxation,
-// backward-edge readjustment) iterate over dense int32/int arrays instead
-// of chasing [][]int adjacency slices and calling per-edge closures.
+// CSR holds the sweep arrays of a frozen Graph: the forward edges in
+// topological order and the backward edges, relaid as flat
+// struct-of-arrays so the hot scheduling loops (anchor-set propagation,
+// longest-path relaxation, backward-edge readjustment) iterate over dense
+// int32/int arrays instead of reading edge records and calling per-edge
+// closures. The adjacency itself is the graph's own int32 CSR
+// (OutEdges/InEdges).
 //
 // A CSR exists only for frozen graphs — Freeze builds it after validation,
 // and frozen graphs are immutable, so the view can never go stale. All
@@ -12,15 +14,6 @@ package cg
 // rationale and measured effect.
 type CSR struct {
 	n int
-
-	// Out* is the all-edge out-adjacency in CSR form: the out-edges of
-	// vertex v occupy positions OutStart[v]..OutStart[v+1] of the parallel
-	// arrays. OutUnb marks unbounded weights and OutFwd membership in E_f.
-	// Within one vertex the edges keep the order of OutEdges.
-	OutStart []int32
-	OutTo    []int32
-	OutUnb   []bool
-	OutFwd   []bool
 
 	// Topo* is the forward edge set E_f sorted by the topological rank of
 	// the tail (ties in insertion order): one flat pass over these arrays
@@ -70,47 +63,41 @@ func (g *Graph) csrView() *CSR {
 	return g.csr
 }
 
-// buildCSR freezes the adjacency into flat arrays. Called by Freeze once
-// validation has succeeded and the topological order is cached.
+// buildCSR lays out the sweep arrays, each at its exact length: the
+// int32 endpoints in one allocation, the weights in another. Called by
+// Freeze once validation has succeeded and the topological order is
+// cached, and by CSR after an edit.
 func buildCSR(g *Graph) *CSR {
-	n := len(g.vertices)
 	m := len(g.edges)
-	c := &CSR{
-		n:        n,
-		OutStart: make([]int32, n+1),
-		OutTo:    make([]int32, m),
-		OutUnb:   make([]bool, m),
-		OutFwd:   make([]bool, m),
-	}
-	pos := 0
-	for v := 0; v < n; v++ {
-		c.OutStart[v] = int32(pos)
-		for _, ei := range g.out[v] {
-			e := g.edges[ei]
-			c.OutTo[pos] = int32(e.To)
-			c.OutUnb[pos] = e.Unbounded
-			c.OutFwd[pos] = e.Kind.Forward()
-			pos++
+	nb := 0
+	for i := range g.edges {
+		if !g.edges[i].Kind.Forward() {
+			nb++
 		}
 	}
-	c.OutStart[n] = int32(pos)
-
-	for _, e := range g.edges {
-		if !e.Kind.Forward() {
+	nf := m - nb
+	ends := make([]int32, 2*m)
+	ws := make([]int, m)
+	c := &CSR{
+		n:        len(g.vertices),
+		TopoFrom: ends[0:0:nf],
+		TopoTo:   ends[nf : nf : 2*nf],
+		TopoW:    ws[0:0:nf],
+		TopoUnb:  make([]bool, 0, nf),
+		BwdFrom:  ends[2*nf : 2*nf : 2*nf+nb],
+		BwdTo:    ends[2*nf+nb : 2*nf+nb],
+		BwdW:     ws[nf:nf],
+	}
+	for i := range g.edges {
+		if e := &g.edges[i]; !e.Kind.Forward() {
 			c.BwdFrom = append(c.BwdFrom, int32(e.From))
 			c.BwdTo = append(c.BwdTo, int32(e.To))
 			c.BwdW = append(c.BwdW, e.Weight)
 		}
 	}
-
-	nf := m - len(c.BwdFrom)
-	c.TopoFrom = make([]int32, 0, nf)
-	c.TopoTo = make([]int32, 0, nf)
-	c.TopoW = make([]int, 0, nf)
-	c.TopoUnb = make([]bool, 0, nf)
 	for _, v := range g.topo {
-		for _, ei := range g.out[v] {
-			e := g.edges[ei]
+		for _, ei := range g.OutEdges(v) {
+			e := &g.edges[ei]
 			if !e.Kind.Forward() {
 				continue
 			}

@@ -14,7 +14,10 @@ import (
 // polarity), applies it, and repairs the caches incrementally —
 // Pearce–Kelly reordering for the topological order, append/patch for the
 // anchor list, and a lazy-rebuild flag for the CSR — instead of
-// re-freezing. Every successful edit returns a Delta record that
+// re-freezing. The adjacency a frozen graph keeps is int32 CSR, which
+// cannot grow in place, so the first edit carves per-vertex list headers
+// over its index arrays (Graph.lists) and every edit then appends to,
+// drops from or rewrites those lists. Every successful edit returns a Delta record that
 // RevertDelta can undo in strict LIFO order, which is what gives the
 // scheduling layer transactional edits: any failure after the graph
 // mutation reverts it, so callers never observe a half-applied edit.
@@ -258,8 +261,8 @@ func (g *Graph) forwardCone(start, target VertexID, hi int32) ([]VertexID, bool)
 		if v == target {
 			return nil, true
 		}
-		for _, i := range g.out[v] {
-			e := g.edges[i]
+		for _, i := range g.OutEdges(v) {
+			e := &g.edges[i]
 			if !e.Kind.Forward() {
 				continue
 			}
@@ -284,8 +287,8 @@ func (g *Graph) backwardCone(start VertexID, lo int32) []VertexID {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, i := range g.in[v] {
-			e := g.edges[i]
+		for _, i := range g.InEdges(v) {
+			e := &g.edges[i]
 			if !e.Kind.Forward() {
 				continue
 			}
@@ -343,10 +346,10 @@ func (g *Graph) applyRemove(ed Edit) (Delta, error) {
 		return Delta{}, fmt.Errorf("%w: edge %d (%v)", ErrEditStructural, i, e)
 	}
 	if e.Kind.Forward() {
-		if g.countForward(g.in[e.To]) < 2 {
+		if g.countForward(g.InEdges(e.To)) < 2 {
 			return Delta{}, fmt.Errorf("%w: %v is the last forward edge into %d", ErrEditPolarity, e, e.To)
 		}
-		if g.countForward(g.out[e.From]) < 2 {
+		if g.countForward(g.OutEdges(e.From)) < 2 {
 			return Delta{}, fmt.Errorf("%w: %v is the last forward edge out of %d", ErrEditPolarity, e, e.From)
 		}
 	}
@@ -355,7 +358,7 @@ func (g *Graph) applyRemove(ed Edit) (Delta, error) {
 	return Delta{Op: ed.Op, Edge: e, EdgeIndex: i, Moved: moved, Vertex: None, Gen: g.generation}, nil
 }
 
-func (g *Graph) countForward(idx []int) int {
+func (g *Graph) countForward(idx []int32) int {
 	n := 0
 	for _, i := range idx {
 		if g.edges[i].Kind.Forward() {
@@ -369,16 +372,17 @@ func (g *Graph) countForward(idx []int) int {
 // returning the former index of the swapped edge (-1 if i was last).
 // The topological order stays valid: removals only relax it.
 func (g *Graph) removeEdgeAt(i int) int {
+	g.lists()
 	e := g.edges[i]
-	g.out[e.From] = dropVal(g.out[e.From], i)
-	g.in[e.To] = dropVal(g.in[e.To], i)
+	g.out[e.From] = dropVal(g.out[e.From], int32(i))
+	g.in[e.To] = dropVal(g.in[e.To], int32(i))
 	last := len(g.edges) - 1
 	moved := -1
 	if i != last {
 		m := g.edges[last]
 		g.edges[i] = m
-		replaceVal(g.out[m.From], last, i)
-		replaceVal(g.in[m.To], last, i)
+		replaceVal(g.out[m.From], int32(last), int32(i))
+		replaceVal(g.in[m.To], int32(last), int32(i))
 		moved = last
 	}
 	g.edges = g.edges[:last]
@@ -460,7 +464,7 @@ func (g *Graph) RevertDelta(d Delta) error {
 	if d.Gen != g.generation {
 		return fmt.Errorf("%w: delta gen %d, graph gen %d", ErrRevertOrder, d.Gen, g.generation)
 	}
-	g.adjacency()
+	g.lists()
 	switch d.Op {
 	case EditAddMin, EditAddMax, EditAddSerialization:
 		// The added edge is still last (LIFO guarantee). The topological
@@ -473,16 +477,14 @@ func (g *Graph) RevertDelta(d Delta) error {
 			// (== the pre-removal last index == current len(edges)).
 			m := g.edges[d.EdgeIndex]
 			g.edges = append(g.edges, m)
-			replaceVal(g.out[m.From], d.EdgeIndex, d.Moved)
-			replaceVal(g.in[m.To], d.EdgeIndex, d.Moved)
+			replaceVal(g.out[m.From], int32(d.EdgeIndex), int32(d.Moved))
+			replaceVal(g.in[m.To], int32(d.EdgeIndex), int32(d.Moved))
 			g.edges[d.EdgeIndex] = d.Edge
-			g.out[d.Edge.From] = append(g.out[d.Edge.From], d.EdgeIndex)
-			g.in[d.Edge.To] = append(g.in[d.Edge.To], d.EdgeIndex)
 		} else {
 			g.edges = append(g.edges, d.Edge)
-			g.out[d.Edge.From] = append(g.out[d.Edge.From], d.EdgeIndex)
-			g.in[d.Edge.To] = append(g.in[d.Edge.To], d.EdgeIndex)
 		}
+		g.out[d.Edge.From] = append(g.out[d.Edge.From], int32(d.EdgeIndex))
+		g.in[d.Edge.To] = append(g.in[d.Edge.To], int32(d.EdgeIndex))
 
 	case EditInsertOp:
 		// Remove the two sequencing edges (appended last) and the vertex.
@@ -504,7 +506,7 @@ func (g *Graph) RevertDelta(d Delta) error {
 }
 
 // dropVal removes the first occurrence of x from s, preserving order.
-func dropVal(s []int, x int) []int {
+func dropVal(s []int32, x int32) []int32 {
 	for k, v := range s {
 		if v == x {
 			return append(s[:k], s[k+1:]...)
@@ -514,7 +516,7 @@ func dropVal(s []int, x int) []int {
 }
 
 // replaceVal rewrites the first occurrence of old in s to new.
-func replaceVal(s []int, old, new int) {
+func replaceVal(s []int32, old, new int32) {
 	for k, v := range s {
 		if v == old {
 			s[k] = new

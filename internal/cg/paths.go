@@ -36,8 +36,8 @@ func (g *Graph) LongestForwardFrom(src VertexID) []int {
 		if dist[v] == Unreachable {
 			continue
 		}
-		for _, i := range g.out[v] {
-			e := g.edges[i]
+		for _, i := range g.OutEdges(v) {
+			e := &g.edges[i]
 			if !e.Kind.Forward() {
 				continue
 			}
@@ -233,14 +233,13 @@ func (g *Graph) reaches(src, dst VertexID, seen []bool) bool {
 	if src == dst {
 		return true
 	}
-	g.adjacency()
 	stack := make([]VertexID, 0, 64)
 	seen[src] = true
 	stack = append(stack, src)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, i := range g.out[v] {
+		for _, i := range g.OutEdges(v) {
 			to := g.edges[i].To
 			if to == dst {
 				return true

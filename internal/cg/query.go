@@ -25,7 +25,6 @@ func (g *Graph) TopoForward() []VertexID {
 }
 
 func (g *Graph) topoForward() ([]VertexID, error) {
-	g.adjacency()
 	n := len(g.vertices)
 	indeg := make([]int, n)
 	for _, e := range g.edges {
@@ -44,8 +43,8 @@ func (g *Graph) topoForward() ([]VertexID, error) {
 		v := queue[0]
 		queue = queue[1:]
 		order = append(order, v)
-		for _, i := range g.out[v] {
-			e := g.edges[i]
+		for _, i := range g.OutEdges(v) {
+			e := &g.edges[i]
 			if !e.Kind.Forward() {
 				continue
 			}
@@ -89,39 +88,17 @@ func (g *Graph) ReachableForward(v VertexID) []bool {
 
 // floodForward marks every vertex forward-reachable from v (v included)
 // in seen, by an explicit-stack depth-first search — recursion depth on
-// deep chain graphs would otherwise scale with |V|. Frozen graphs walk the
-// CSR adjacency.
+// deep chain graphs would otherwise scale with |V|.
 func (g *Graph) floodForward(v VertexID, seen []bool) {
 	stack := make([]VertexID, 0, 64)
 	seen[v] = true
 	stack = append(stack, v)
-	if c := g.csrView(); c != nil {
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for k := c.OutStart[u]; k < c.OutStart[u+1]; k++ {
-				if !c.OutFwd[k] {
-					continue
-				}
-				to := VertexID(c.OutTo[k])
-				if !seen[to] {
-					seen[to] = true
-					stack = append(stack, to)
-				}
-			}
-		}
-		return
-	}
-	g.adjacency()
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, i := range g.out[u] {
-			e := g.edges[i]
-			if !e.Kind.Forward() {
-				continue
-			}
-			if !seen[e.To] {
+		for _, i := range g.OutEdges(u) {
+			e := &g.edges[i]
+			if e.Kind.Forward() && !seen[e.To] {
 				seen[e.To] = true
 				stack = append(stack, e.To)
 			}
@@ -144,15 +121,14 @@ func (g *Graph) IsForwardPredecessor(a, b VertexID) bool {
 // predecessor of v — the pred(v) relation of Definitions 4 and 9. The result is a boolean slice indexed by
 // vertex ID; v itself is false.
 func (g *Graph) ForwardPredecessors(v VertexID) []bool {
-	g.adjacency()
 	seen := make([]bool, len(g.vertices))
 	stack := make([]VertexID, 0, 64)
 	stack = append(stack, v)
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, i := range g.in[u] {
-			e := g.edges[i]
+		for _, i := range g.InEdges(u) {
+			e := &g.edges[i]
 			if !e.Kind.Forward() || seen[e.From] {
 				continue
 			}
@@ -194,8 +170,8 @@ func (g *Graph) validate() ([]VertexID, error) {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, i := range g.in[u] {
-			e := g.edges[i]
+		for _, i := range g.InEdges(u) {
+			e := &g.edges[i]
 			if e.Kind.Forward() && !co[e.From] {
 				co[e.From] = true
 				stack = append(stack, e.From)

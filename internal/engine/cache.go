@@ -9,13 +9,14 @@ import (
 	"repro/internal/relsched"
 )
 
-// analysisEntry is one memoized scheduling outcome. Entries hold the
-// invariant analysis of a graph — the anchor sets and longest-path
-// matrices inside relsched.AnchorInfo — plus the minimum relative
-// schedule derived from them, or the deterministic error verdict
-// (unfeasible, ill-posed, inconsistent) when no schedule exists. All
-// fields are immutable after construction: the graph is frozen, AnchorInfo
-// and Schedule are never written after Analyze/schedule return, so entries
+// analysisEntry is one memoized scheduling outcome. An entry holds the
+// graph that was scheduled, its anchor-set analysis (relsched.AnchorInfo:
+// the full and relevant anchor sets, completed with the irredundant sets
+// once scheduled), and either the minimum relative schedule with its
+// packed σ columns or the deterministic error verdict (unfeasible,
+// ill-posed, inconsistent) when no schedule exists. All fields are
+// immutable after construction: the graph is frozen, AnchorInfo and
+// Schedule are never written after Analyze/schedule return, so entries
 // are safe to share across worker goroutines and across results.
 type analysisEntry struct {
 	graph *cg.Graph // the (possibly serialized) graph that was scheduled

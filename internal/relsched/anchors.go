@@ -135,24 +135,15 @@ func anchorSets(g *cg.Graph) *AnchorInfo {
 // vertex at most once per anchor. O(|A|·(|V|+|E|)).
 func (ai *AnchorInfo) relevantAnchors() {
 	g := ai.G
-	c := g.CSR()
+	edges := g.Edges()
 	ai.Relevant = bitset.NewArena(g.N(), len(ai.List))
 	seen := make([]bool, g.N())
 	stack := make([]cg.VertexID, 0, 64)
-	// crossUnbounded pushes the heads of v's unbounded out-edges (start of
-	// a defining path); pushBounded pushes the heads of its bounded ones
-	// (continuation of one).
+	// crossFrom pushes the heads of v's unbounded out-edges (the start of
+	// a defining path) or of its bounded ones (a continuation of one).
 	crossFrom := func(v cg.VertexID, unbounded bool) {
-		if c != nil {
-			for k := c.OutStart[v]; k < c.OutStart[v+1]; k++ {
-				if c.OutUnb[k] == unbounded {
-					stack = append(stack, cg.VertexID(c.OutTo[k]))
-				}
-			}
-			return
-		}
 		for _, ei := range g.OutEdges(v) {
-			if e := g.Edge(ei); e.Unbounded == unbounded {
+			if e := &edges[ei]; e.Unbounded == unbounded {
 				stack = append(stack, e.To)
 			}
 		}

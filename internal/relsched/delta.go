@@ -469,12 +469,12 @@ func (next *Schedule) addEdge(sc *deltaScratch, e cg.Edge, ei int) error {
 		changedFull = info.growFull(sc, e)
 		for _, v := range changedFull {
 			for _, bi := range g.OutEdges(cg.VertexID(v)) {
-				be := g.Edge(bi)
+				be := g.Edge(int(bi))
 				if be.Kind.Forward() {
 					continue
 				}
 				if !info.Full[be.From].SubsetOf(info.Full[be.To]) {
-					return illPosed(info, bi, be)
+					return illPosed(info, int(bi), be)
 				}
 			}
 		}
@@ -563,12 +563,12 @@ func (s *Schedule) applyRemoval(ed cg.Edit) (*Schedule, cg.Delta, error) {
 		changedFull = info.shrinkFull(sc, int(e.To))
 		for _, v := range changedFull {
 			for _, ei := range g.InEdges(cg.VertexID(v)) {
-				be := g.Edge(ei)
+				be := g.Edge(int(ei))
 				if be.Kind.Forward() {
 					continue
 				}
 				if !info.Full[be.From].SubsetOf(info.Full[be.To]) {
-					return revertAfter(g, d, illPosed(info, ei, be))
+					return revertAfter(g, d, illPosed(info, int(ei), be))
 				}
 			}
 		}
@@ -581,7 +581,7 @@ func (s *Schedule) applyRemoval(ed cg.Edit) (*Schedule, cg.Delta, error) {
 	sc.rList = append(sc.rList, int(e.To))
 	for k := 0; k < len(sc.rList); k++ {
 		for _, ei := range g.OutEdges(cg.VertexID(sc.rList[k])) {
-			if oe := g.Edge(ei); !inR[oe.To] {
+			if oe := g.Edge(int(ei)); !inR[oe.To] {
 				inR[oe.To] = true
 				sc.rList = append(sc.rList, int(oe.To))
 			}
@@ -629,7 +629,7 @@ func (s *Schedule) applyRemoval(ed cg.Edit) (*Schedule, cg.Delta, error) {
 			for _, v := range sc.topoR {
 				best := vals[v]
 				for _, ei := range g.InEdges(cg.VertexID(v)) {
-					ie := g.Edge(ei)
+					ie := g.Edge(int(ei))
 					if !ie.Kind.Forward() {
 						continue
 					}
@@ -686,7 +686,7 @@ func (s *Schedule) applyRemoval(ed cg.Edit) (*Schedule, cg.Delta, error) {
 	for _, v := range sc.rList {
 		set := bitset.New(nAbits)
 		for _, ei := range g.InEdges(cg.VertexID(v)) {
-			ie := g.Edge(ei)
+			ie := g.Edge(int(ei))
 			if ie.Unbounded {
 				if ai, ok := info.Index[ie.From]; ok {
 					set.Add(ai)
@@ -706,7 +706,7 @@ func (s *Schedule) applyRemoval(ed cg.Edit) (*Schedule, cg.Delta, error) {
 		relWl = relWl[:len(relWl)-1]
 		m := relNew[v]
 		for _, ei := range g.OutEdges(cg.VertexID(v)) {
-			oe := g.Edge(ei)
+			oe := g.Edge(int(ei))
 			if oe.Unbounded || !inR[oe.To] {
 				continue
 			}
@@ -777,7 +777,7 @@ func (next *Schedule) relaxWorklist(sc *deltaScratch, ai, tail int, wl []int) (s
 		wl = wl[:len(wl)-1]
 		f := next.cols.at(int(v), ai)
 		for _, ei := range g.OutEdges(v) {
-			e := g.Edge(ei)
+			e := g.Edge(int(ei))
 			if d := f + e.MinWeight(); d > next.cols.at(int(e.To), ai) {
 				if int(e.To) == tail {
 					return wl[:0], false, ErrUnfeasible
@@ -809,7 +809,7 @@ func (next *Schedule) solveWarm(sc *deltaScratch, ai int) error {
 				continue
 			}
 			for _, ei := range g.OutEdges(v) {
-				e := g.Edge(ei)
+				e := g.Edge(int(ei))
 				if !e.Kind.Forward() {
 					continue
 				}
@@ -871,7 +871,7 @@ func (info *AnchorInfo) growFull(sc *deltaScratch, e cg.Edge) []int {
 		info.Full[v] = ns
 		changed = append(changed, v)
 		for _, ei := range g.OutEdges(cg.VertexID(v)) {
-			if oe := g.Edge(ei); oe.Kind.Forward() {
+			if oe := g.Edge(int(ei)); oe.Kind.Forward() {
 				stack = append(stack, int(oe.To))
 			}
 		}
@@ -890,7 +890,7 @@ func (info *AnchorInfo) shrinkFull(sc *deltaScratch, head int) []int {
 	cone[head] = true
 	for k := 0; k < len(flood); k++ {
 		for _, ei := range g.OutEdges(cg.VertexID(flood[k])) {
-			if e := g.Edge(ei); e.Kind.Forward() && !cone[e.To] {
+			if e := g.Edge(int(ei)); e.Kind.Forward() && !cone[e.To] {
 				cone[e.To] = true
 				flood = append(flood, int(e.To))
 			}
@@ -904,7 +904,7 @@ func (info *AnchorInfo) shrinkFull(sc *deltaScratch, head int) []int {
 		}
 		scratch.Clear()
 		for _, ei := range g.InEdges(v) {
-			e := g.Edge(ei)
+			e := g.Edge(int(ei))
 			if !e.Kind.Forward() {
 				continue
 			}
@@ -959,7 +959,7 @@ func (info *AnchorInfo) growRelevant(sc *deltaScratch, e cg.Edge) {
 		ns.UnionWith(m)
 		info.Relevant[it.v] = ns
 		for _, ei := range g.OutEdges(cg.VertexID(it.v)) {
-			if oe := g.Edge(ei); !oe.Unbounded {
+			if oe := g.Edge(int(ei)); !oe.Unbounded {
 				stack = append(stack, item{int(oe.To), m})
 			}
 		}

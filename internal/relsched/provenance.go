@@ -172,11 +172,11 @@ func (ex *Explainer) maxConstraints(v cg.VertexID) []MaxConstraintStatus {
 	g := s.G
 	var out []MaxConstraintStatus
 	for _, ei := range g.OutEdges(v) {
-		e := g.Edge(ei)
+		e := g.Edge(int(ei))
 		if e.Kind != cg.MaxConstraint {
 			continue
 		}
-		st := MaxConstraintStatus{EdgeIndex: ei, Other: e.To, U: -e.Weight}
+		st := MaxConstraintStatus{EdgeIndex: int(ei), Other: e.To, U: -e.Weight}
 		margin, any := 0, false
 		for ai := range s.Info.List {
 			ov, oo := s.cols.at(int(v), ai), s.cols.at(int(e.To), ai)
@@ -224,13 +224,13 @@ func (s *Schedule) bindingChain(ai int, v cg.VertexID) ([]ChainStep, error) {
 		}
 		visited[u] = true
 		for _, ei := range g.InEdges(u) {
-			e := g.Edge(ei)
+			e := g.Edge(int(ei))
 			if off(e.From) == NoOffset || off(e.From)+e.MinWeight() != off(u) {
 				continue
 			}
 			if dfs(e.From) {
 				steps = append(steps, ChainStep{
-					EdgeIndex: ei,
+					EdgeIndex: int(ei),
 					From:      e.From,
 					To:        e.To,
 					Kind:      e.Kind,

@@ -180,7 +180,7 @@ func (ai *AnchorInfo) referenceRelevantAnchors() {
 			seen[v] = true
 			ai.Relevant[v].Add(idx)
 			for _, ei := range g.OutEdges(v) {
-				e := g.Edge(ei)
+				e := g.Edge(int(ei))
 				if e.Unbounded {
 					continue
 				}
@@ -188,7 +188,7 @@ func (ai *AnchorInfo) referenceRelevantAnchors() {
 			}
 		}
 		for _, ei := range g.OutEdges(a) {
-			e := g.Edge(ei)
+			e := g.Edge(int(ei))
 			if !e.Unbounded {
 				continue
 			}
@@ -303,7 +303,7 @@ func referenceReachableForward(g *cg.Graph, v cg.VertexID) []bool {
 		}
 		seen[u] = true
 		for _, ei := range g.OutEdges(u) {
-			if e := g.Edge(ei); e.Kind.Forward() {
+			if e := g.Edge(int(ei)); e.Kind.Forward() {
 				flood(e.To)
 			}
 		}

@@ -176,7 +176,7 @@ func makeWellPosedPass(g *cg.Graph, ai *AnchorInfo) (int, error) {
 		// Propagate along backward edges leaving v so chained maximum
 		// constraints stay well-posed.
 		for _, ei := range g.OutEdges(v) {
-			e := g.Edge(ei)
+			e := g.Edge(int(ei))
 			if e.Kind.Forward() {
 				continue
 			}
